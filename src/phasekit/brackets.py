@@ -4,7 +4,8 @@ Brackets are computed symbolically through exact expression arithmetic, so
 antisymmetry and the vanishing of Dirac brackets against second-class
 constraints hold identically, not just to tolerance.  The only numeric step
 is the first/second-class decision for non-constant constraint brackets,
-which samples the constraint surface.
+which samples the constraint surface through expressions lowered once by
+``expr.lower``, with coefficient atoms bound as independent values.
 """
 
 from __future__ import annotations
@@ -15,17 +16,18 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .expr import (
-    Atom,
     AtomRegistry,
     Chart,
     PhaseExpr,
     Sym,
     ZERO,
+    atoms_in,
     diff,
     free_symbols,
     from_rat,
     is_const_expr,
     is_zero_expr,
+    lower,
     simplify,
     to_rat,
 )
@@ -132,75 +134,45 @@ class ConstraintMatrix:
     chart: Chart
 
 
-def _poly_eval(p, values: Mapping[tuple, float]) -> float:
-    total = 0.0
-    for mono, coeff in p.items():
-        term = float(coeff)
-        for key, exp in mono:
-            try:
-                term *= values[key] ** exp
-            except KeyError:
-                raise BracketError(
-                    f"no numeric value supplied for symbol {key!r}"
-                ) from None
-        total += term
-    return total
-
-
-def _rat_eval(e: PhaseExpr, values: Mapping[tuple, float]) -> float:
-    r = to_rat(e)
-    den = _poly_eval(r.den, values)
-    if den == 0.0:
-        raise ZeroDivisionError
-    return _poly_eval(r.num, values) / den
-
-
-def _needed_keys(exprs: Sequence[PhaseExpr]) -> set:
-    keys: set = set()
-    for e in exprs:
-        r = to_rat(e)
-        for poly in (r.num, r.den):
-            for mono in poly:
-                for key, _ in mono:
-                    keys.add(key)
-    return keys
-
-
 def _surface_points(constraints: Sequence[PhaseExpr], chart: Chart,
                     count: int, seed: int,
                     values_hint: Optional[Mapping[str, float]] = None,
                     extra_exprs: Sequence[PhaseExpr] = ()
-                    ) -> List[Dict[tuple, float]]:
+                    ) -> Tuple[tuple, List[List[float]]]:
     """Random numeric points satisfying every constraint to 1e-12.
 
     Starts from a random draw and runs Newton sweeps, adjusting for each
-    constraint the chart variable with the largest local gradient.  Every
-    symbol of the constraints, their gradients, and ``extra_exprs`` (the
-    expressions the caller will evaluate at these points) gets a value.
+    constraint the chart variable with the largest local gradient.  Returns
+    ``(inputs, points)``: ``inputs`` are the variable names and coefficient
+    atoms of the constraints, their gradients and ``extra_exprs`` (the
+    expressions the caller will evaluate at these points), and each point
+    lists their values in that order, ready for ``lower(..., inputs)``.
     """
     rng = np.random.default_rng(seed)
-    chart_keys = {(0, v) for v in chart.variables}
-    grads = [
-        {v: diff(phi, v) for v in chart.variables} for phi in constraints
-    ]
-    keys = _needed_keys(
-        list(constraints) + list(extra_exprs)
-        + [g for row in grads for g in row.values()]
-    ) | chart_keys
-    hint = {(0, k): float(v) for k, v in (values_hint or {}).items()}
+    grads = [[diff(phi, v) for v in chart.variables] for phi in constraints]
+    names, atoms = set(chart.variables), set()
+    for e in list(constraints) + list(extra_exprs) + [
+            g for row in grads for g in row]:
+        names |= free_symbols(e)
+        atoms |= atoms_in(e)
+    inputs = tuple(sorted(names)) + tuple(
+        sorted(atoms, key=lambda a: (a.name, a.order, a.arg)))
+    slots = [inputs.index(v) for v in chart.variables]
+    hint = {inputs.index(k): float(v)
+            for k, v in (values_hint or {}).items() if k in names}
+    phi_fns = [lower([phi], inputs, time_var=None) for phi in constraints]
+    grad_fns = [[lower([g], inputs, time_var=None) for g in row]
+                for row in grads]
 
     points = []
     for _ in range(count):
         for _attempt in range(25):
-            values: Dict[tuple, float] = {}
-            for key in keys:
-                if key in chart_keys:
-                    values[key] = float(rng.uniform(-1.5, 1.5))
-                else:
-                    # parameters and coefficient atoms stay away from zero
-                    values[key] = float(rng.uniform(0.4, 1.6))
-            values.update(hint)
-            if _newton_project(constraints, grads, chart, values):
+            # parameters and coefficient atoms stay away from zero
+            values = [float(rng.uniform(-1.5, 1.5)) if key in chart.variables
+                      else float(rng.uniform(0.4, 1.6)) for key in inputs]
+            for slot, v in hint.items():
+                values[slot] = v
+            if _newton_project(phi_fns, grad_fns, slots, values):
                 points.append(values)
                 break
         else:
@@ -208,49 +180,51 @@ def _surface_points(constraints: Sequence[PhaseExpr], chart: Chart,
                 "failed to sample the constraint surface; constraints may "
                 "be inconsistent"
             )
-    return points
+    return inputs, points
 
 
-def _newton_project(constraints, grads, chart, values) -> bool:
+def _newton_project(phi_fns, grad_fns, slots, values) -> bool:
     for _sweep in range(60):
         worst = 0.0
-        for phi, grad in zip(constraints, grads):
+        for phi, grad in zip(phi_fns, grad_fns):
             try:
-                residual = _rat_eval(phi, values)
+                residual, = phi(0.0, values)
             except ZeroDivisionError:
                 return False
             worst = max(worst, abs(residual))
             if abs(residual) < 1e-13:
                 continue
-            best_key, best_slope = None, 0.0
-            for v in chart.variables:
+            best_slot, best_slope = None, 0.0
+            for slot, slope_fn in zip(slots, grad):
                 try:
-                    slope = _rat_eval(grad[v], values)
+                    slope, = slope_fn(0.0, values)
                 except ZeroDivisionError:
                     continue
                 if abs(slope) > abs(best_slope):
-                    best_key, best_slope = (0, v), slope
-            if best_key is None:
+                    best_slot, best_slope = slot, slope
+            if best_slot is None:
                 return False
-            values[best_key] -= residual / best_slope
+            values[best_slot] -= residual / best_slope
         if worst < 1e-13:
             return True
     try:
-        return all(abs(_rat_eval(phi, values)) < 1e-12 for phi in constraints)
+        return all(abs(phi(0.0, values)[0]) < 1e-12 for phi in phi_fns)
     except ZeroDivisionError:
         return False
 
 
 def _effectively_nonzero(bracket: PhaseExpr,
-                         points: Sequence[Mapping[tuple, float]],
+                         surface: Tuple[tuple, Sequence[Sequence[float]]],
                          threshold: float) -> bool:
     if is_zero_expr(bracket):
         return False
     if is_const_expr(bracket):
         return True
+    inputs, points = surface
+    fn = lower([bracket], inputs, time_var=None)
     for values in points:
         try:
-            if abs(_rat_eval(bracket, values)) > threshold:
+            if abs(fn(0.0, values)[0]) > threshold:
                 return True
         except ZeroDivisionError:
             # a pole is as nonzero as it gets
@@ -286,7 +260,7 @@ def classify_constraints(constraints: Sequence[PhaseExpr], chart: Chart,
         _surface_points(constraints, chart, points, seed, values_hint,
                         extra_exprs=[table[i][j]
                                      for i in range(n) for j in range(n)])
-        if need_points else []
+        if need_points else ((), [])
     )
 
     weakly = [

@@ -32,12 +32,13 @@ from .expr import (
     Sym,
     ZERO,
     _diff,
+    _finite,
     _subst,
     diff,
-    eval_expr,
     free_symbols,
     from_rat,
     is_zero_expr,
+    lower,
     num,
     parse,
     simplify,
@@ -155,10 +156,11 @@ class Transform:
     c2: PhaseExpr
     spec: Optional[TransformSpec] = None
     chain: Optional[Tuple["Transform", "Transform"]] = None
+    # lowered evaluators, built on first use (see ``_lowered``)
     _partials: Optional[Dict] = field(default=None, init=False, repr=False,
                                       compare=False)
-    _residuals: Optional[Tuple] = field(default=None, init=False, repr=False,
-                                        compare=False)
+    _residuals: Optional["_Lowered"] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def is_pure(self) -> bool:
         return all(isinstance(c, PhaseExpr) for c in self.maps.values())
@@ -262,33 +264,78 @@ def component_partial(component: Component, variable: str) -> Component:
     return ComponentMap(base=simplify(extra), quads=tuple(quads))
 
 
-def component_eval(component: Component, point: Mapping[str, float]) -> float:
-    if isinstance(component, PhaseExpr):
-        return eval_expr(component, point)
-    total = eval_expr(component.base, point)
-    for term in component.quads:
-        prefactor = eval_expr(term.prefactor, point)
-        if prefactor == 0.0:
-            continue
-        upper = float(point[term.var])
-        inner = dict(point)
+class _Lowered:
+    """Components lowered once into one function of the new-chart state.
 
-        def f(s: float) -> float:
-            inner[term.var] = s
-            return eval_expr(term.integrand, inner)
+    Calling it with a point gives the component values in order.  The
+    bases and the quadrature prefactors come from one lowered call; each
+    quadrature term integrates its own lowered integrand.
+    """
 
-        value, abserr = quad(f, term.lower, upper,
-                             epsabs=1e-12, epsrel=1e-12, limit=200)
-        if abserr > 1e-8 * max(1.0, abs(value)):
-            raise CanonicalError(
-                f"quadrature for the {term.var} integral did not converge "
-                f"(estimated error {abserr})"
-            )
-        total += prefactor * value
-    if not math.isfinite(total):
-        raise CanonicalError("transform component evaluated to a "
-                             "non-finite value")
-    return total
+    def __init__(self, components: Sequence[Component]):
+        exprs = [c if isinstance(c, PhaseExpr) else c.base
+                 for c in components]
+        self.count = len(exprs)
+        self.quads = []      # (component index, prefactor slot, term, fn)
+        for i, c in enumerate(components):
+            if isinstance(c, ComponentMap):
+                for term in c.quads:
+                    integrand = lower([term.integrand], NEW_VARS,
+                                      time_var=None)
+                    self.quads.append((i, len(exprs), term, integrand))
+                    exprs.append(term.prefactor)
+        self.fn = lower(exprs, NEW_VARS, time_var=None)
+
+    def __call__(self, point: Mapping[str, float]) -> List[float]:
+        y = [float(point[v]) for v in NEW_VARS]
+        values = _finite(self.fn, None, y)
+        out = list(values[:self.count])
+        for i, slot, term, integrand in self.quads:
+            prefactor = values[slot]
+            if prefactor == 0.0:
+                continue
+            out[i] += prefactor * _quadrature(term, integrand, y)
+            if not math.isfinite(out[i]):
+                raise CanonicalError("transform component evaluated to a "
+                                     "non-finite value")
+        return out
+
+
+def _quadrature(term: QuadTerm, integrand, y: List[float]) -> float:
+    """∫ integrand ds from ``term.lower`` to the state's ``term.var``."""
+    slot = NEW_VARS.index(term.var)
+    inner = list(y)
+
+    def f(s: float) -> float:
+        inner[slot] = s
+        return _finite(integrand, None, inner)[0]
+
+    value, abserr = quad(f, term.lower, y[slot],
+                         epsabs=1e-12, epsrel=1e-12, limit=200)
+    if abserr > 1e-8 * max(1.0, abs(value)):
+        raise CanonicalError(
+            f"quadrature for the {term.var} integral did not converge "
+            f"(estimated error {abserr})"
+        )
+    return value
+
+
+def _lowered(tr: Transform) -> Dict[str, _Lowered]:
+    """The maps, the Jacobian partials and the three gate partials of a
+    transform, each lowered on first use and kept in ``tr._partials``."""
+    if tr._partials is None:
+        table = {
+            (row, col): component_partial(tr.maps[row], col)
+            for row in OLD_ORDER for col in NEW_VARS
+        }
+        tr._partials = {
+            "maps": _Lowered([tr.maps[name] for name in OLD_ORDER]),
+            "jacobian": _Lowered(list(table.values())),
+            "gates": _Lowered([table[("x1_tau", "Q1")],
+                               table[("x2_tau", "Q2")],
+                               table[("t_tau", "T")]]),
+        }
+    return tr._partials
 
 
 def evaluate(tr: Transform, point: Mapping[str, float]) -> Dict[str, float]:
@@ -296,7 +343,7 @@ def evaluate(tr: Transform, point: Mapping[str, float]) -> Dict[str, float]:
     if tr.chain is not None:
         outer, inner = tr.chain
         return evaluate(outer, _as_new_point(evaluate(inner, point)))
-    return {name: component_eval(tr.maps[name], point) for name in OLD_ORDER}
+    return dict(zip(OLD_ORDER, _lowered(tr)["maps"](point)))
 
 
 def _as_new_point(old_values: Mapping[str, float]) -> Dict[str, float]:
@@ -311,15 +358,6 @@ def _as_new_point(old_values: Mapping[str, float]) -> Dict[str, float]:
 # Jacobian and symplectic defect
 # --------------------------------------------------------------------------
 
-def _partial_table(tr: Transform) -> Dict[Tuple[str, str], Component]:
-    if tr._partials is None:
-        tr._partials = {
-            (row, col): component_partial(tr.maps[row], col)
-            for row in OLD_ORDER for col in NEW_VARS
-        }
-    return tr._partials
-
-
 def jacobian(tr: Transform, point: Mapping[str, float]) -> np.ndarray:
     """6×6 matrix ∂(extended)/∂(new) at the point, rows in the order
     (x1_tau, x2_tau, t_tau, p1_tau, p2_tau, p_tau)."""
@@ -327,15 +365,11 @@ def jacobian(tr: Transform, point: Mapping[str, float]) -> np.ndarray:
         outer, inner = tr.chain
         mid = _as_new_point(evaluate(inner, point))
         return jacobian(outer, mid) @ jacobian(inner, point)
-    table = _partial_table(tr)
-    out = np.empty((6, 6))
     try:
-        for i, row in enumerate(OLD_ORDER):
-            for j, col in enumerate(NEW_VARS):
-                out[i, j] = component_eval(table[(row, col)], point)
+        values = _lowered(tr)["jacobian"](point)
     except NonFiniteError as exc:
         raise CanonicalError(f"singular denominator at {dict(point)}") from exc
-    return out
+    return np.array(values).reshape(6, 6)
 
 
 def symplectic_defect(tr: Transform,
@@ -388,12 +422,8 @@ def _passes_gates(tr: Transform, point: Mapping[str, float],
             return False
         mid = _as_new_point(evaluate(inner, point))
         return _passes_gates(outer, mid, min_denominator)
-    table = _partial_table(tr)
-    gates = (table[("x1_tau", "Q1")], table[("x2_tau", "Q2")],
-             table[("t_tau", "T")])
-    return all(
-        abs(component_eval(g, point)) >= min_denominator for g in gates
-    )
+    gates = _lowered(tr)["gates"](point)
+    return all(abs(g) >= min_denominator for g in gates)
 
 
 # --------------------------------------------------------------------------
@@ -401,8 +431,6 @@ def _passes_gates(tr: Transform, point: Mapping[str, float],
 # --------------------------------------------------------------------------
 
 def _residual_components(tr: Transform) -> Tuple[Component, ...]:
-    if tr._residuals is not None:
-        return tr._residuals
     if tr.chain is not None:
         raise CanonicalError(
             "the seven-equation residuals need canonical-form maps; a "
@@ -448,7 +476,7 @@ def _residual_components(tr: Transform) -> Tuple[Component, ...]:
             raise CanonicalError("F has quadrature terms in a Q/P partial; "
                                  "this is outside the supported ansatz")
 
-    residuals = (
+    return (
         simplify(a1t * (c1p * p1 + d1p) + bt * f_q1
                  - (c1t * p1 + d1t) * a1p),
         simplify(a2t * (c2p * p2 + d2p) + bt * f_q2
@@ -459,8 +487,6 @@ def _residual_components(tr: Transform) -> Tuple[Component, ...]:
         simplify(c1 * a1p - num(1)),
         simplify(c2 * a2p - num(1)),
     )
-    tr._residuals = residuals
-    return residuals
 
 
 def ode_residuals(tr: Transform, point: Mapping[str, float]
@@ -470,9 +496,9 @@ def ode_residuals(tr: Transform, point: Mapping[str, float]
     All pieces are re-derived from the transform's actual maps, so edits
     made after ``complete`` (corruption probes included) show up here.
     """
-    return tuple(
-        component_eval(r, point) for r in _residual_components(tr)
-    )
+    if tr._residuals is None:
+        tr._residuals = _Lowered(_residual_components(tr))
+    return tuple(tr._residuals(point))
 
 
 # --------------------------------------------------------------------------

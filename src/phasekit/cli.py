@@ -34,6 +34,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +90,7 @@ from .expr import (
     DampingFactorProfile,
     EvalError,
     ExponentialProfile,
+    ExprError,
     ExprProfile,
     ParseError,
     Profile,
@@ -168,6 +171,8 @@ def _number(section, key, default, where, positive=False):
         value = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key}: must be finite, got {value!r}")
     if positive and value <= 0:
         raise ConfigError(f"{where}.{key}: must be positive")
     return value
@@ -179,7 +184,8 @@ def _pair(section, key, where) -> Optional[Tuple[float, float]]:
     raw = section[key]
     if not isinstance(raw, Sequence) or len(raw) != 2:
         raise ConfigError(f"{where}.{key}: expected [lo, hi]")
-    return float(raw[0]), float(raw[1])
+    lo, hi = (_number({key: v}, key, None, where) for v in raw)
+    return lo, hi
 
 
 def scenario_from_config(cfg: Mapping, label: str) -> Scenario:
@@ -241,7 +247,7 @@ def scenario_from_config(cfg: Mapping, label: str) -> Scenario:
     span = _pair(rsec, "span", "run") or (0.0, 10.0)
     if span[1] <= span[0]:
         raise ConfigError(f"run.span: empty span {list(span)}")
-    points = int(rsec.get("points", 201))
+    points = int(_number(rsec, "points", 201, "run"))
     if points < 2:
         raise ConfigError("run.points: need at least 2")
 
@@ -273,6 +279,8 @@ def _profile_from(section, where: str) -> Profile:
             raise ConfigError(
                 f"{where}.expression: {exc} (column {exc.position})"
             )
+        except ExprError as exc:
+            raise ConfigError(f"{where}.expression: {exc}")
     if kind == "table":
         if not isinstance(value, Mapping):
             raise ConfigError(f"{where}.table: expected times:/values: lists")
@@ -616,7 +624,7 @@ def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
     try:
         spec = TransformSpec.from_strings(**texts)
         tr = complete(spec)
-    except (ParseError, CanonicalError) as exc:
+    except (ExprError, CanonicalError) as exc:
         raise ConfigError(f"transform: {exc}")
 
     overrides = cfg.get("override", {}) or {}
@@ -630,7 +638,7 @@ def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
                 )
             try:
                 maps[name] = parse(str(text), NEW_VARS)
-            except ParseError as exc:
+            except ExprError as exc:
                 raise ConfigError(f"override.{name}: {exc}")
         tr = dataclasses.replace(tr, maps=maps)
 
@@ -703,6 +711,11 @@ def _run_star(task: Tuple[str, str, Dict]) -> Tuple[int, str]:
     return _run_one(*task)
 
 
+def _pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for ``--jobs``: no more than tasks or cores."""
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="phasekit",
@@ -716,7 +729,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".",
                         help="output directory (default: current)")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel scenarios")
+                        help="parallel scenarios (at most one per core)")
         sp.add_argument("--points", type=int, default=None,
                         help="override the grid point count")
         if tol_default is not None:
@@ -738,7 +751,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs: must be at least 1, got {args.jobs}")
     opts = {
         "out": args.out,
         "points": args.points if args.points else (
@@ -748,8 +764,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "subdir": len(args.configs) > 1,
     }
     tasks = [(args.command, path, opts) for path in args.configs]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _pool_size(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_star, tasks))
     else:
         results = [_run_star(t) for t in tasks]

@@ -25,13 +25,14 @@ from .expr import (
     Mul,
     PhaseExpr,
     Sym,
+    _finite,
     as_expr,
     atom,
     diff,
-    eval_symbols,
     free_symbols,
     from_rat,
     is_zero_expr,
+    lower,
     num,
     parse,
     render,
@@ -211,12 +212,17 @@ def hessian(model: LagrangianModel) -> Hessian:
 
 
 def hessian_rank(h: Hessian, values: Mapping, threshold: float = 1e-10) -> int:
-    """Numeric rank at a point: singular values above threshold·σ_max."""
+    """Numeric rank at a point: singular values above threshold·σ_max.
+
+    ``values`` binds every variable, and every atom by its ``Atom``, of the
+    Hessian entries.
+    """
     n = len(h.matrix)
+    fn = lower([e for row in h.matrix for e in row], tuple(values),
+               time_var=None)
     numeric = np.array(
-        [[eval_symbols(h.matrix[i][j], values) for j in range(n)]
-         for i in range(n)]
-    )
+        _finite(fn, None, [float(v) for v in values.values()])
+    ).reshape(n, n)
     sv = np.linalg.svd(numeric, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
@@ -382,7 +388,6 @@ def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
     found: List[PhaseExpr] = []
     for pass_count in range(1, max_passes + 1):
         new: List[PhaseExpr] = []
-        need_points = False
         candidates = []
         for phi in known:
             c = simplify(
@@ -397,16 +402,12 @@ def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
                     "the system is inconsistent"
                 )
             candidates.append(c)
-            need_points = True
         if candidates:
-            points = (
-                _brackets._surface_points(known, chart, 16, 20260817,
-                                          values_hint,
-                                          extra_exprs=candidates)
-                if need_points else []
-            )
+            surface = _brackets._surface_points(known, chart, 16, 20260817,
+                                                values_hint,
+                                                extra_exprs=candidates)
             for c in candidates:
-                if not _brackets._effectively_nonzero(c, points, 1e-10):
+                if not _brackets._effectively_nonzero(c, surface, 1e-10):
                     continue
                 if any(is_zero_expr(c - k) for k in known):
                     continue

@@ -1,7 +1,8 @@
 """Numeric integration of the original and extended oscillator flows.
 
-Right-hand sides arrive as symbolic equations of motion and are compiled to
-plain Python callables once per run.  Two steppers are provided: adaptive
+Right-hand sides arrive as symbolic equations of motion and are lowered to
+plain Python callables once per run by ``expr.lower``; ``compile_rhs`` and
+``compile_scalar`` adapt its tuples to arrays and floats.  Two steppers are provided: adaptive
 Dormand-Prince RK45 (default) and fixed-step RK4 for reproducibility
 tables.  Both land exactly on the requested output grid; no dense-output
 interpolation is involved.
@@ -18,20 +19,7 @@ import numpy as np
 from . import brackets as _brackets
 from . import constraints as _constraints
 from .constraints import ConstraintSet, GaugeSpec
-from .expr import (
-    Add,
-    Atom,
-    AtomRegistry,
-    Div,
-    Mul,
-    Num,
-    PhaseExpr,
-    Pow,
-    Sym,
-    eval_expr,
-    simplify,
-    sym,
-)
+from .expr import AtomRegistry, PhaseExpr, lower, simplify, sym
 
 
 class DynamicsError(Exception):
@@ -135,76 +123,13 @@ def write_csv(traj: Trajectory, path) -> None:
 # expression compilation
 # --------------------------------------------------------------------------
 
-def _emit(e: PhaseExpr, var_index, params, time_var, atom_calls) -> str:
-    if isinstance(e, Num):
-        return f"({float(e.value)!r})"
-    if isinstance(e, Sym):
-        return _emit_symbol(e.name, var_index, params, time_var)
-    if isinstance(e, Atom):
-        key = (e.name,)
-        if key not in atom_calls:
-            atom_calls[key] = f"_atom_{len(atom_calls)}"
-        arg = _emit_symbol(e.arg, var_index, params, time_var)
-        return f"{atom_calls[key]}({e.order}, {arg})"
-    if isinstance(e, Add):
-        return "(" + " + ".join(
-            _emit(t, var_index, params, time_var, atom_calls) for t in e.terms
-        ) + ")"
-    if isinstance(e, Mul):
-        return "(" + "*".join(
-            _emit(f, var_index, params, time_var, atom_calls) for f in e.factors
-        ) + ")"
-    if isinstance(e, Pow):
-        base = _emit(e.base, var_index, params, time_var, atom_calls)
-        return f"({base})**({e.exp})"
-    if isinstance(e, Div):
-        a = _emit(e.num, var_index, params, time_var, atom_calls)
-        b = _emit(e.den, var_index, params, time_var, atom_calls)
-        return f"(({a})/({b}))"
-    raise TypeError(f"not a PhaseExpr node: {e!r}")
-
-
-def _emit_symbol(name, var_index, params, time_var) -> str:
-    if name in var_index:
-        return f"y[{var_index[name]}]"
-    if name in params:
-        return f"({float(params[name])!r})"
-    if name == time_var:
-        return "t"
-    raise DynamicsError(
-        f"unbound symbol '{name}': not a state variable, parameter, or "
-        f"the evolution parameter '{time_var}'"
-    )
-
-
-def _compile(exprs: Sequence[PhaseExpr], variables: Sequence[str],
-             registry: Optional[AtomRegistry], params: Mapping[str, float],
-             time_var: str) -> Callable:
-    var_index = {v: i for i, v in enumerate(variables)}
-    atom_calls: Dict[tuple, str] = {}
-    bodies = [
-        _emit(e, var_index, params, time_var, atom_calls) for e in exprs
-    ]
-    glb: Dict[str, object] = {}
-    if atom_calls and registry is None:
-        raise DynamicsError("equations contain coefficient atoms but no "
-                            "registry was supplied")
-    if registry is not None:
-        registry.freeze()
-    for (name,), fn in atom_calls.items():
-        glb[fn] = registry.profile(name).value
-    source = "def _rhs(t, y):\n    return (" + ",\n        ".join(bodies) + ",)"
-    exec(source, glb)
-    return glb["_rhs"]
-
-
 def compile_rhs(eom: Mapping[str, PhaseExpr], variables: Sequence[str],
                 registry: Optional[AtomRegistry] = None,
                 params: Optional[Mapping[str, float]] = None,
                 time_var: str = "t") -> Callable:
     """Compile v̇ = rhs(v) into ``f(t, y) -> ndarray``."""
-    fn = _compile([eom[v] for v in variables], variables, registry,
-                  dict(params or {}), time_var)
+    fn = lower([eom[v] for v in variables], variables, registry, params,
+               time_var)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return np.asarray(fn(t, y), dtype=float)
@@ -216,8 +141,8 @@ def compile_scalar(expression: PhaseExpr, variables: Sequence[str],
                    registry: Optional[AtomRegistry] = None,
                    params: Optional[Mapping[str, float]] = None,
                    time_var: str = "t") -> Callable:
-    fn = _compile([expression], variables, registry, dict(params or {}),
-                  time_var)
+    """Compile one expression into ``f(t, y) -> float``."""
+    fn = lower([expression], variables, registry, params, time_var)
 
     def scalar(t: float, y: np.ndarray) -> float:
         return float(fn(t, y)[0])

@@ -5,7 +5,8 @@ variable references, opaque time-dependent coefficient atoms (with optional
 registered derivative rules and numeric profiles), sums, products, integer
 powers and quotients.  ``simplify`` canonicalizes any tree to a reduced
 rational normal form, so structural equality after ``simplify`` decides
-semantic equality.  Floating point enters only through ``eval_expr``.
+semantic equality.  Floating point enters only through ``lower``, which
+compiles expressions to Python code; ``eval_expr`` is its one-shot form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -335,44 +337,6 @@ def contains_symbol(e: PhaseExpr, name: str) -> bool:
     return name in free_symbols(e)
 
 
-def eval_symbols(e: PhaseExpr, values: Mapping) -> float:
-    """Evaluate with explicit numeric bindings, atoms included.
-
-    Keys are variable names for ``Sym`` nodes and ``Atom`` instances for
-    coefficient atoms; no registry or profile is involved.
-    """
-    keyed = {}
-    for k, v in values.items():
-        if isinstance(k, str):
-            keyed[(0, k)] = float(v)
-        elif isinstance(k, Atom):
-            keyed[_sym_key(k)] = float(v)
-        else:
-            raise TypeError(f"cannot bind {k!r}")
-    r = to_rat(e)
-
-    def poly_val(p) -> float:
-        total = 0.0
-        for mono, coeff in p.items():
-            term = float(coeff)
-            for key, exp in mono:
-                if key not in keyed:
-                    raise UnboundVariableError(
-                        f"symbol {key[1]!r} is not bound"
-                    )
-                term *= keyed[key] ** exp
-            total += term
-        return total
-
-    den = poly_val(r.den)
-    if den == 0.0:
-        raise NonFiniteError("denominator vanished during evaluation")
-    out = poly_val(r.num) / den
-    if not math.isfinite(out):
-        raise NonFiniteError(f"evaluation produced a non-finite value: {out}")
-    return out
-
-
 # --------------------------------------------------------------------------
 # differentiation
 # --------------------------------------------------------------------------
@@ -531,16 +495,17 @@ class ExprProfile(Profile):
                  registry: "AtomRegistry | None" = None):
         self.var = var
         self.registry = registry
-        self._derivatives = [simplify(expression)]
+        self._last = simplify(expression)
+        self._lowered: List[Callable] = []   # one per derivative order
 
     def value(self, order: int, t: float) -> float:
-        while len(self._derivatives) <= order:
-            self._derivatives.append(
-                diff(self._derivatives[-1], self.var, self.registry)
-            )
-        return eval_expr(
-            self._derivatives[order], {self.var: t}, registry=self.registry
-        )
+        while len(self._lowered) <= order:
+            e = (diff(self._last, self.var, self.registry) if self._lowered
+                 else self._last)
+            self._lowered.append(
+                lower([e], (), self.registry, time_var=self.var))
+            self._last = e
+        return _finite(self._lowered[order], float(t), ())[0]
 
 
 class DampingFactorProfile(Profile):
@@ -559,14 +524,14 @@ class DampingFactorProfile(Profile):
         self.friction = friction
         ts = np.linspace(lo, hi, samples)
         eta = np.array([friction.value(0, float(t)) for t in ts])
-        accumulated = CubicSpline(ts, eta).antiderivative()
-        self._exponent = lambda t: float(accumulated(t) - accumulated(0.0))
+        self._accumulated = CubicSpline(ts, eta).antiderivative()
+        self._offset = self._accumulated(0.0)
         self._lo, self._hi = lo, hi
 
     def value(self, order: int, t: float) -> float:
         if t < self._lo - 1e-12 or t > self._hi + 1e-12:
             raise EvalError(f"time {t} outside damping-factor span")
-        f = math.exp(-self._exponent(t))
+        f = math.exp(-float(self._accumulated(t) - self._offset))
         if order == 0:
             return f
         eta = self.friction.value(0, t)
@@ -651,61 +616,114 @@ class AtomRegistry:
 
 
 # --------------------------------------------------------------------------
-# numeric evaluation
+# numeric evaluation: every expression is lowered to Python code once
 # --------------------------------------------------------------------------
 
-def eval_expr(e: PhaseExpr, point: Mapping[str, float],
-              time: Optional[float] = None,
-              registry: Optional[AtomRegistry] = None,
-              time_var: str = "t") -> float:
-    """Evaluate at a numeric point.  Non-finite results raise, never return."""
+def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
+          registry: Optional[AtomRegistry] = None,
+          params: Optional[Mapping[str, float]] = None,
+          time_var: Optional[str] = "t") -> Callable:
+    """Compile expressions once into ``f(t, y) -> tuple`` of their values.
+
+    ``inputs`` gives the meaning of ``y[i]``: a variable name binds that
+    variable, an ``Atom`` binds that atom outright, with no profile
+    involved.  Any other variable must be a key of ``params`` (its value is
+    built into the code) or be named ``time_var`` (bound to ``t``; ``None``
+    binds nothing); any other atom calls its registered profile, once per
+    call of ``f`` for each distinct atom.  Every operation gets its own
+    assignment, so deep trees never meet the parser's nesting limit.  The
+    arithmetic is plain Python: a pole raises ``ZeroDivisionError`` and an
+    overflowing power ``OverflowError``.
+    """
+    slots = {key: i for i, key in enumerate(inputs)}
+    params = params or {}
     if registry is not None:
         registry.freeze()
+    glb: Dict[str, object] = {}
+    lines: List[str] = []
+    atom_calls: Dict[Atom, str] = {}
+
+    def constant(value) -> str:
+        try:
+            return f"({float(value)!r})"
+        except OverflowError:
+            raise NonFiniteError(f"constant {value} overflows a float")
+
+    def symbol(name: str) -> str:
+        if name in slots:
+            return f"y[{slots[name]}]"
+        if name in params:
+            return constant(params[name])
+        if name == time_var:
+            return "t"
+        raise UnboundVariableError(f"variable '{name}' is not bound")
+
+    def assign(code: str) -> str:
+        target = f"_{len(lines)}"
+        lines.append(f"    {target} = {code}\n")
+        return target
+
+    def emit(e: PhaseExpr) -> str:
+        if isinstance(e, Num):
+            return constant(e.value)
+        if isinstance(e, Sym):
+            return symbol(e.name)
+        if isinstance(e, Atom):
+            if e in slots:
+                return f"y[{slots[e]}]"
+            if e not in atom_calls:
+                if registry is None:
+                    raise EvalError(f"no registry supplied for atom '{e.name}'")
+                fn = f"_profile_{len(glb)}"
+                glb[fn] = registry.profile(e.name).value
+                atom_calls[e] = assign(f"{fn}({e.order}, {symbol(e.arg)})")
+            return atom_calls[e]
+        if isinstance(e, Add):
+            return assign(" + ".join(emit(t) for t in e.terms) or "0.0")
+        if isinstance(e, Mul):
+            return assign(" * ".join(emit(f) for f in e.factors) or "1.0")
+        if isinstance(e, Pow):
+            return assign(f"{emit(e.base)} ** {e.exp}")
+        if isinstance(e, Div):
+            return assign(f"{emit(e.num)} / {emit(e.den)}")
+        raise TypeError(f"not a PhaseExpr node: {e!r}")
+
+    results = [emit(e) for e in exprs]
+    source = ("def _lowered(t, y):\n" + "".join(lines)
+              + f"    return ({''.join(r + ', ' for r in results)})\n")
+    exec(source, glb)
+    return glb["_lowered"]
+
+
+def _finite(fn: Callable, t, y) -> tuple:
+    """Values of a lowered function; poles, overflow and non-finite results
+    raise ``NonFiniteError`` instead of returning."""
     try:
-        value = _eval(e, point, time, registry, time_var)
+        values = fn(t, y)
     except ZeroDivisionError:
         raise NonFiniteError("division by zero during evaluation")
     except OverflowError:
         raise NonFiniteError("overflow during evaluation")
-    if not math.isfinite(value):
-        raise NonFiniteError(f"evaluation produced a non-finite value: {value}")
-    return value
+    for value in values:
+        if not math.isfinite(value):
+            raise NonFiniteError(
+                f"evaluation produced a non-finite value: {value}")
+    return values
 
 
-def _resolve(name: str, point, time, time_var) -> float:
-    if name in point:
-        return float(point[name])
-    if name == time_var and time is not None:
-        return float(time)
-    raise UnboundVariableError(f"variable '{name}' is not bound")
+def eval_expr(e: PhaseExpr, point: Mapping, time: Optional[float] = None,
+              registry: Optional[AtomRegistry] = None,
+              time_var: str = "t") -> float:
+    """Evaluate at a numeric point.  Non-finite results raise, never return.
 
-
-def _eval(e, point, time, reg, time_var) -> float:
-    if isinstance(e, Num):
-        return float(e.value)
-    if isinstance(e, Sym):
-        return _resolve(e.name, point, time, time_var)
-    if isinstance(e, Atom):
-        if reg is None:
-            raise EvalError(f"no registry supplied for atom '{e.name}'")
-        t = _resolve(e.arg, point, time, time_var)
-        return reg.profile(e.name).value(e.order, t)
-    if isinstance(e, Add):
-        return sum(_eval(t, point, time, reg, time_var) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval(f, point, time, reg, time_var)
-        return out
-    if isinstance(e, Pow):
-        return _eval(e.base, point, time, reg, time_var) ** e.exp
-    if isinstance(e, Div):
-        return (
-            _eval(e.num, point, time, reg, time_var)
-            / _eval(e.den, point, time, reg, time_var)
-        )
-    raise TypeError(f"not a PhaseExpr node: {e!r}")
-
+    ``point`` binds variable names and, optionally, ``Atom`` instances; an
+    atom bound there needs no profile.  ``time`` binds ``time_var`` unless
+    the point already does.
+    """
+    fn = lower([e], tuple(point), registry,
+               time_var=time_var if time is not None else None)
+    values = [float(v) for v in point.values()]
+    return _finite(fn, None if time is None else float(time), values)[0]
 
 # --------------------------------------------------------------------------
 # charts

@@ -25,7 +25,7 @@ from phasekit import (
     simplify,
     sym,
 )
-from phasekit.brackets import _rat_eval, _surface_points
+from phasekit.brackets import _surface_points
 
 from _support import constant_registry
 
@@ -132,12 +132,14 @@ def test_params_whitelist_enforced():
 def test_surface_points_satisfy_constraints(gauged_system):
     registry, phi, gauge, _ = gauged_system
     constraints = (phi, gauge.eta_gauge)
-    pts = _surface_points(constraints, EXTENDED_CHART, 8, 99,
-                          values_hint={"m": 1.0})
+    inputs, pts = _surface_points(constraints, EXTENDED_CHART, 8, 99,
+                                  values_hint={"m": 1.0})
     assert len(pts) == 8
-    for point in pts:
+    for values in pts:
+        point = dict(zip(inputs, values))
+        assert point["m"] == 1.0
         for c in constraints:
-            assert abs(_rat_eval(c, point)) < 1e-10
+            assert abs(eval_expr(c, point)) < 1e-10
 
 
 def test_surface_points_cover_extra_expression_symbols(gauged_system):
@@ -145,10 +147,11 @@ def test_surface_points_cover_extra_expression_symbols(gauged_system):
     # every such symbol must get a value or downstream evaluation dies
     registry, phi, gauge, _ = gauged_system
     target = parse("eta_fric(t_tau)*p1_tau", EXT_VARS, registry)
-    pts = _surface_points((phi, gauge.eta_gauge), EXTENDED_CHART, 4, 7,
-                          values_hint={"m": 1.0}, extra_exprs=[target])
-    for point in pts:
-        _rat_eval(target, point)  # must not raise
+    inputs, pts = _surface_points((phi, gauge.eta_gauge), EXTENDED_CHART,
+                                  4, 7, values_hint={"m": 1.0},
+                                  extra_exprs=[target])
+    for values in pts:
+        eval_expr(target, dict(zip(inputs, values)))  # must not raise
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,28 @@ def test_bad_profile_section_exits_2(tmp_path, capsys):
     assert "unknown profile kind" in out
 
 
+def test_degenerate_profile_expression_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, "bad.yaml",
+                        {"profiles": {"omega": {"expression": "1/(t - t)"}}})
+    code, out = run_cli(capsys, "analyze", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert "profiles.omega.expression: division by a zero expression" in out
+
+
+@pytest.mark.parametrize("section, key", [
+    ("initial", "x1"), ("parameters", "m"), ("integrator", "abs_tol"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, section, key, value):
+    cfg = short_oscillator()
+    cfg.setdefault(section, {})[key] = value
+    path = write_config(tmp_path, "nonfinite.yaml", cfg)
+    code, out = run_cli(capsys, "simulate", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert f"error: {section}.{key}: must be finite" in out
+    assert not (tmp_path / "simulate.json").exists()
+
+
 def test_simulate_requires_gauge(tmp_path, capsys):
     cfg = short_oscillator()
     del cfg["gauge"]
@@ -155,6 +177,22 @@ def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main([])
     assert err.value.code == 2
+
+
+def test_jobs_below_one_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["analyze", str(CONFIGS / "oscillator.yaml"), "--jobs", "0"])
+    assert err.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+
+def test_pool_size_is_capped_by_tasks_and_cores(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._pool_size(1, 3) == 1
+    assert cli._pool_size(1000, 3) == 3
+    assert cli._pool_size(1000, 50) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._pool_size(8, 8) == 1
 
 
 def declared_console_script(name):
@@ -331,6 +369,21 @@ def test_identity_transform_has_zero_defect(tmp_path, capsys):
     assert code == 0
     summary = json.loads((tmp_path / "transform_check.json").read_text())
     assert summary["defect"] == 0.0
+
+
+@pytest.mark.parametrize("cfg, where", [
+    ({"transform": {"a1": "Q1/(Q1-Q1)", "a2": "Q2", "b": "T"}},
+     "transform"),
+    ({"transform": {"a1": "Q1", "a2": "Q2", "b": "T"},
+      "override": {"p1_tau": "P1/(T-T)"}}, "override.p1_tau"),
+])
+def test_degenerate_transform_expression_exits_2(tmp_path, capsys, cfg,
+                                                 where):
+    path = write_config(tmp_path, "degenerate.yaml", cfg)
+    code, out = run_cli(capsys, "transform-check", str(path),
+                        "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == f"error: {where}: division by a zero expression"
 
 
 def test_points_flag_overrides_sample_count(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from phasekit import (
@@ -32,7 +32,7 @@ from phasekit import (
     subst,
     sym,
 )
-from phasekit.expr import atoms_in, eval_symbols
+from phasekit.expr import Add, Div, ExprError, Mul, atoms_in, to_rat
 
 from _support import constant_registry
 
@@ -187,11 +187,70 @@ def test_eval_nonfinite_guard():
         eval_expr(expr_of("x^9"), {"x": 1e200})
 
 
-def test_eval_symbols_binds_atoms_directly():
+def test_eval_expr_binds_atoms_directly():
+    # a bound atom needs neither a registry nor a value for its argument
     reg = constant_registry()
     e = parse("w(t)*x", ["x", "t"], reg)
-    value = eval_symbols(e, {"x": 2.0, atom("w", "t"): 3.0})
+    value = eval_expr(e, {"x": 2.0, atom("w", "t"): 3.0})
     assert value == pytest.approx(6.0)
+
+
+def test_eval_expr_handles_deep_raw_trees():
+    # 150 levels of Add(Mul(...)) nest 300 parentheses in a single
+    # expression, past the parser's limit of 200
+    e = sym("x")
+    for _ in range(150):
+        e = Add((Mul((num(Fraction(1, 2)), e)), sym("y")))
+    exact = Fraction(2) - Fraction(1, 2 ** 150)       # x = y = 1
+    assert eval_expr(e, {"x": 1.0, "y": 1.0}) == pytest.approx(
+        float(exact), rel=1e-15)
+
+
+# integer constants keep + * ^ exact in binary floating point at dyadic
+# points, so only division rounds
+@st.composite
+def rational_exprs(draw, depth=0):
+    if depth >= 3 or draw(st.booleans()):
+        leaf = draw(st.sampled_from(["x", "y", "z", "c"]))
+        return num(draw(coeffs)) if leaf == "c" else sym(leaf)
+    op = draw(st.sampled_from(["add", "mul", "div", "pow"]))
+    a = draw(rational_exprs(depth=depth + 1))
+    if op == "pow":
+        return a ** draw(st.integers(-2, 2))
+    b = draw(rational_exprs(depth=depth + 1))
+    return Add((a, b)) if op == "add" else Mul((a, b)) if op == "mul" \
+        else Div(a, b)
+
+
+def _poly_at(poly, point) -> Fraction:
+    total = Fraction(0)
+    for mono, coeff in poly.items():
+        term = Fraction(coeff)
+        for (_, name), exp in mono:
+            term *= point[name] ** exp
+        total += term
+    return total
+
+
+dyadics = st.integers(-16, 16).map(lambda k: Fraction(k, 8))
+
+
+@given(rational_exprs(), st.fixed_dictionaries({v: dyadics for v in VARS}))
+def test_eval_expr_matches_exact_rational_value(e, point):
+    # oracle: the exact normal form evaluated in Fraction arithmetic
+    try:
+        r = to_rat(e)
+    except ExprError:
+        assume(False)
+    den = _poly_at(r.den, point)
+    assume(den != 0)
+    exact = float(_poly_at(r.num, point) / den)
+    try:
+        value = eval_expr(e, {k: float(v) for k, v in point.items()})
+    except NonFiniteError:
+        # the raw tree divides by zero where its normal form cancels
+        assume(False)
+    assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
 def test_free_symbols_sees_atom_arguments():
