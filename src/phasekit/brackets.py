@@ -2,7 +2,10 @@
 
 Brackets are computed symbolically through exact expression arithmetic, so
 antisymmetry and the vanishing of Dirac brackets against second-class
-constraints hold identically, not just to tolerance.  The only numeric step
+constraints hold identically, not just to tolerance.  Brackets are built
+from gradients (normal-form partials by each chart variable); a
+``ConstraintMatrix`` carries its constraints' gradients, which ``dirac`` and
+``hamilton_eom`` reuse.  The only numeric step
 is the first/second-class decision for non-constant constraint brackets,
 which samples the constraint surface through expressions lowered once by
 ``expr.lower``, with coefficient atoms bound as independent values.
@@ -11,6 +14,7 @@ which samples the constraint surface through expressions lowered once by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,14 +57,6 @@ class SingularDeltaError(BracketError):
         self.classification = classification
 
 
-@dataclass(frozen=True)
-class BracketResult:
-    """A bracket value together with the chart it was computed in."""
-
-    expr: PhaseExpr
-    chart: Chart
-
-
 def _check_symbols(f: PhaseExpr, g: PhaseExpr, chart: Chart,
                    params: Optional[Iterable[str]]) -> None:
     if params is None:
@@ -83,14 +79,23 @@ def poisson(f: PhaseExpr, g: PhaseExpr, chart: Chart,
     differentiate to zero; pass ``params`` to have that set validated.
     """
     _check_symbols(f, g, chart, params)
+    return from_rat(_bracket(_gradient(f, chart, registry),
+                             _gradient(g, chart, registry), chart))
+
+
+def _gradient(e: PhaseExpr, chart: Chart,
+              registry: Optional[AtomRegistry]) -> Dict[str, Rat]:
+    """Normal form of ∂e/∂v for every chart variable v."""
+    return {v: to_rat(diff(e, v, registry)) for v in chart.variables}
+
+
+def _bracket(grad_f: Mapping[str, Rat], grad_g: Mapping[str, Rat],
+             chart: Chart) -> Rat:
+    """Σ (f_q g_p − f_p g_q) over the chart's pairs, from two gradients."""
     total = Rat.const(0)
     for q, p in chart.pairs:
-        fq = to_rat(diff(f, q, registry))
-        gp = to_rat(diff(g, p, registry))
-        fp = to_rat(diff(f, p, registry))
-        gq = to_rat(diff(g, q, registry))
-        total = total + fq * gp - fp * gq
-    return from_rat(total)
+        total = total + grad_f[q] * grad_g[p] - grad_f[p] * grad_g[q]
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -125,13 +130,15 @@ class ConstraintClassification:
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    """Δ_ab = {φ_a, φ_b} with its symbolic inverse when Δ is regular."""
+    """Δ_ab = {φ_a, φ_b}, its symbolic inverse when Δ is regular, and the
+    gradients of the φ_a that ``dirac`` and ``hamilton_eom`` read."""
 
     constraints: Tuple[PhaseExpr, ...]
     delta: Tuple[Tuple[PhaseExpr, ...], ...]
     inverse: Optional[Tuple[Tuple[PhaseExpr, ...], ...]]
     classification: ConstraintClassification
     chart: Chart
+    gradients: Tuple[Dict[str, Rat], ...]
 
 
 def _surface_points(constraints: Sequence[PhaseExpr], chart: Chart,
@@ -245,12 +252,8 @@ def classify_constraints(constraints: Sequence[PhaseExpr], chart: Chart,
     """
     constraints = tuple(simplify(c) for c in constraints)
     n = len(constraints)
-    table = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = poisson(constraints[i], constraints[j], chart, registry)
-            table[i][j] = b
-            table[j][i] = simplify(-b)
+    grads = [_gradient(c, chart, registry) for c in constraints]
+    table = [[from_rat(_bracket(gi, gj, chart)) for gj in grads] for gi in grads]
 
     need_points = any(
         not is_zero_expr(table[i][j]) and not is_const_expr(table[i][j])
@@ -310,11 +313,13 @@ def _symbolic_inverse(delta: Sequence[Sequence[PhaseExpr]]
 def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
                       registry: Optional[AtomRegistry] = None,
                       values_hint: Optional[Mapping[str, float]] = None,
-                      seed: int = 20260817) -> ConstraintMatrix:
-    """Build Δ_ab = {φ_a, φ_b}, classify, and invert when possible."""
-    classification = classify_constraints(
-        constraints, chart, registry, values_hint, seed=seed
-    )
+                      seed: int = 20260817,
+                      classification: Optional[ConstraintClassification] = None
+                      ) -> ConstraintMatrix:
+    """Build Δ_ab = {φ_a, φ_b}, classify (or reuse ``classification``, made
+    by ``classify_constraints`` for these constraints), and invert."""
+    classification = classification or classify_constraints(
+        constraints, chart, registry, values_hint, seed=seed)
     delta = classification.bracket_table
     for i in range(len(delta)):
         for j in range(len(delta)):
@@ -329,6 +334,8 @@ def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
         inverse=inverse,
         classification=classification,
         chart=chart,
+        gradients=tuple(_gradient(phi, chart, registry)
+                        for phi in classification.constraints),
     )
 
 
@@ -336,26 +343,24 @@ def dirac(f: PhaseExpr, g: PhaseExpr, cm: ConstraintMatrix, chart: Chart,
           registry: Optional[AtomRegistry] = None,
           params: Optional[Iterable[str]] = None) -> PhaseExpr:
     """Dirac bracket {f,g} - Σ_ab {f,φ_a} C_ab {φ_b,g} with C = Δ⁻¹."""
+    _check_symbols(f, g, chart, params)
+    return from_rat(_dirac(_gradient(f, chart, registry),
+                           _gradient(g, chart, registry), cm, chart))
+
+
+def _dirac(grad_f: Mapping[str, Rat], grad_g: Mapping[str, Rat],
+           cm: ConstraintMatrix, chart: Chart) -> Rat:
     if cm.inverse is None:
         raise SingularDeltaError(cm.classification)
-    total = to_rat(poisson(f, g, chart, registry, params))
-    left = [
-        to_rat(poisson(f, phi, chart, registry)) for phi in cm.constraints
-    ]
-    right = [
-        to_rat(poisson(phi, g, chart, registry)) for phi in cm.constraints
-    ]
-    for a, fa in enumerate(left):
-        if fa.is_zero():
-            continue
-        for b, bg in enumerate(right):
-            if bg.is_zero():
-                continue
-            c_ab = to_rat(cm.inverse[a][b])
-            if c_ab.is_zero():
-                continue
-            total = total - fa * c_ab * bg
-    return from_rat(total)
+    if chart != cm.chart:
+        raise ChartMismatchError(f"constraint matrix is over '{cm.chart.label}'")
+    total = _bracket(grad_f, grad_g, chart)
+    left = [_bracket(grad_f, grad_phi, chart) for grad_phi in cm.gradients]
+    right = [_bracket(grad_phi, grad_g, chart) for grad_phi in cm.gradients]
+    for a, b in product(range(len(left)), repeat=2):
+        if not (left[a].is_zero() or right[b].is_zero()):
+            total = total - left[a] * to_rat(cm.inverse[a][b]) * right[b]
+    return total
 
 
 def hamilton_eom(hamiltonian: PhaseExpr, chart: Chart,
@@ -364,19 +369,17 @@ def hamilton_eom(hamiltonian: PhaseExpr, chart: Chart,
                  registry: Optional[AtomRegistry] = None,
                  params: Optional[Iterable[str]] = None
                  ) -> Dict[str, PhaseExpr]:
-    """Right-hand sides v̇ = {v, H} for every chart variable."""
+    """Right-hand sides v̇ = {v, H} for every chart variable; ∇H once."""
+    if bracket is not poisson and bracket is not dirac:
+        return {v: simplify(bracket(Sym(v), hamiltonian))
+                for v in chart.variables}
+    if bracket is dirac and cm is None:
+        raise BracketError("Dirac equations of motion need a constraint matrix")
+    _check_symbols(hamiltonian, ZERO, chart, params)
+    grad_h = _gradient(hamiltonian, chart, registry)
     out: Dict[str, PhaseExpr] = {}
     for v in chart.variables:
-        var = Sym(v)
-        if bracket is poisson:
-            rhs = poisson(var, hamiltonian, chart, registry, params)
-        elif bracket is dirac:
-            if cm is None:
-                raise BracketError(
-                    "Dirac equations of motion need a constraint matrix"
-                )
-            rhs = dirac(var, hamiltonian, cm, chart, registry, params)
-        else:
-            rhs = simplify(bracket(var, hamiltonian))
-        out[v] = rhs
+        grad_v = _gradient(Sym(v), chart, registry)
+        out[v] = from_rat(_dirac(grad_v, grad_h, cm, chart) if bracket is dirac
+                          else _bracket(grad_v, grad_h, chart))
     return out

@@ -178,6 +178,14 @@ def _number(section, key, default, where, positive=False):
     return value
 
 
+def _integer(section, key, default, minimum):
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key}: expected an integer >= {minimum}, "
+                          f"got {value!r}")
+    return value
+
+
 def _pair(section, key, where) -> Optional[Tuple[float, float]]:
     if key not in section:
         return None
@@ -304,7 +312,11 @@ def build_registry(scenario: Scenario,
     else:
         lo, hi = float(span[0]), float(span[1])
         pad = 0.01 * (hi - lo) + 1e-6
-        damping = DampingFactorProfile(eta, (lo - pad, hi + pad))
+        # the friction is sampled over the padded window: stay inside a table
+        ends = (eta.span if isinstance(eta, TabulatedProfile)
+                else (-math.inf, math.inf))
+        damping = DampingFactorProfile(eta, (min(lo, max(lo - pad, ends[0])),
+                                             max(hi, min(hi + pad, ends[1]))))
     return oscillator_registry(
         friction_profile=eta, frequency_profile=omega,
         damping_profile=damping,
@@ -419,8 +431,8 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
     lines.append(f"gauge window: tau in [{tau1:g}, {tau2:g}] -> "
                  f"t in [{t1:g}, {t2:g}]")
     lines.append(f"  eta_gauge = {render(scenario.gauge.eta_gauge)}")
-    cm = constraint_matrix(cs.all_constraints(), chart,
-                           registry=registry, values_hint=hint)
+    cm = constraint_matrix(cs.all_constraints(), chart, registry=registry,
+                           classification=cs.classification)
     lines.append("  Delta =")
     lines.extend("    " + row for row in _matrix_lines(cm.delta))
     lines.append("  C = Delta^-1 =")
@@ -642,8 +654,8 @@ def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
                 raise ConfigError(f"override.{name}: {exc}")
         tr = dataclasses.replace(tr, maps=maps)
 
-    seed = int(cfg.get("seed", 20260817))
-    count = int(cfg.get("points", points))
+    seed = _integer(cfg, "seed", 20260817, minimum=0)
+    count = _integer(cfg, "points", 64, minimum=1) if points is None else points
     states = sample_states(tr, count=count, seed=seed)
     defect = symplectic_defect(tr, states)
     residual = max(
@@ -755,11 +767,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs: must be at least 1, got {args.jobs}")
+    if args.points is not None and args.points < 1:
+        parser.error(f"--points: must be at least 1, got {args.points}")
     opts = {
         "out": args.out,
-        "points": args.points if args.points else (
-            64 if args.command == "transform-check" else None
-        ),
+        "points": args.points,
         "tol": getattr(args, "tol", None),
         "subdir": len(args.configs) > 1,
     }

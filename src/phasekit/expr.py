@@ -348,6 +348,9 @@ def diff(e: PhaseExpr, v, registry: "AtomRegistry | None" = None) -> PhaseExpr:
     exists (base atoms only); otherwise a fresh atom of derivative order +1
     is produced.
     """
+    if isinstance(v, str) and v not in free_symbols(e):
+        to_rat(e)  # a zero denominator still raises ExprError
+        return ZERO
     return simplify(_diff(e, v, registry))
 
 
@@ -471,16 +474,14 @@ class TabulatedProfile(Profile):
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 4:
             raise ValueError("need matching 1-d arrays with at least 4 samples")
-        self._lo = float(times[0])
-        self._hi = float(times[-1])
+        self.span = (float(times[0]), float(times[-1]))
         self._splines = [CubicSpline(times, values)]
 
     def value(self, order: int, t: float) -> float:
-        slack = 1e-9 * max(1.0, abs(self._lo), abs(self._hi))
-        if t < self._lo - slack or t > self._hi + slack:
-            raise EvalError(
-                f"time {t} outside tabulated span [{self._lo}, {self._hi}]"
-            )
+        lo, hi = self.span
+        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+        if t < lo - slack or t > hi + slack:
+            raise EvalError(f"time {t} outside tabulated span [{lo}, {hi}]")
         if order > 2:
             raise EvalError("tabulated profiles support derivatives up to order 2")
         while len(self._splines) <= order:

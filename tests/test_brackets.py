@@ -1,7 +1,11 @@
 """Poisson and Dirac brackets, constraint classification, the Delta matrix."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasekit import (
     EXTENDED_CHART,
@@ -17,6 +21,7 @@ from phasekit import (
     eval_expr,
     extended_oscillator,
     free_symbols,
+    hamilton_eom,
     is_zero_expr,
     legendre,
     num,
@@ -26,6 +31,7 @@ from phasekit import (
     sym,
 )
 from phasekit.brackets import _surface_points
+from phasekit.expr import is_const_expr
 
 from _support import constant_registry
 
@@ -43,6 +49,31 @@ def gauged_system():
     cm = constraint_matrix(cs.all_constraints(), EXTENDED_CHART,
                            registry=registry, values_hint={"m": 1.0})
     return registry, phi, gauge, cm
+
+
+@pytest.fixture(scope="module")
+def curved_system():
+    """Two second-class constraints whose Delta depends on the state."""
+    registry = constant_registry(omega=2.0, eta=0.1)
+    constraints = [parse(t, EXT_VARS, registry) for t in (
+        "x1_tau*w(t_tau) - p2_tau", "p1_tau + x2_tau^2")]
+    cm = constraint_matrix(constraints, EXTENDED_CHART, registry=registry)
+    assert not is_const_expr(cm.delta[0][1])
+    return registry, cm
+
+
+@st.composite
+def chart_polys(draw):
+    """Small random polynomial text over the extended chart, with atoms."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = Fraction(draw(st.integers(-8, 8)) or 3, draw(st.integers(1, 4)))
+        factors = [f"{draw(st.sampled_from(EXT_VARS))}^{draw(st.integers(1, 2))}"
+                   for _ in range(draw(st.integers(1, 2)))]
+        if draw(st.booleans()):
+            factors.append(draw(st.sampled_from(["f(t_tau)", "w(t_tau)"])))
+        terms.append(f"({c})*" + "*".join(factors))
+    return " + ".join(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +268,57 @@ def test_dirac_reduces_to_poisson_without_second_class_terms(gauged_system):
     lhs = dirac(a, b, cm, EXTENDED_CHART, registry=registry)
     rhs = poisson(a, b, EXTENDED_CHART, registry)
     assert equivalent(lhs, rhs)
+
+
+@settings(max_examples=15)  # each example runs two dozen exact brackets
+@given(chart_polys(), chart_polys())
+def test_dirac_matches_its_definition(gauged_system, curved_system, f_text,
+                                      g_text):
+    # {f,g}_D = {f,g} - sum_ab {f,phi_a} C_ab {phi_b,g}, built from plain
+    # Poisson brackets, for a constant and a state-dependent C
+    gauged = (gauged_system[0], gauged_system[3])
+    for registry, cm in (gauged, curved_system):
+        f, g = (parse(t, EXT_VARS, registry) for t in (f_text, g_text))
+
+        def pb(a, b):
+            return poisson(a, b, EXTENDED_CHART, registry)
+
+        expected = pb(f, g)
+        for a, phi_a in enumerate(cm.constraints):
+            for b, phi_b in enumerate(cm.constraints):
+                expected = expected - pb(f, phi_a) * cm.inverse[a][b] * pb(
+                    phi_b, g)
+        got = dirac(f, g, cm, EXTENDED_CHART, registry=registry)
+        assert equivalent(got, expected), (f_text, g_text)
+
+
+def test_hamilton_eom_matches_per_variable_brackets(gauged_system,
+                                                    curved_system):
+    gauged = (gauged_system[0], gauged_system[3])
+    for registry, cm in (gauged, curved_system):
+        h = parse("x1_tau^2*p_tau + w(t_tau)*p1_tau*t_tau - p2_tau^3/f(t_tau)",
+                  EXT_VARS, registry)
+        eom = hamilton_eom(h, EXTENDED_CHART, bracket=dirac, cm=cm,
+                           registry=registry)
+        plain = hamilton_eom(h, EXTENDED_CHART, registry=registry)
+        for v in EXT_VARS:
+            assert eom[v] == dirac(sym(v), h, cm, EXTENDED_CHART,
+                                   registry=registry), v
+            assert plain[v] == poisson(sym(v), h, EXTENDED_CHART,
+                                       registry), v
+
+
+def test_constraint_matrix_reuses_a_classification(curved_system):
+    registry, cm = curved_system
+    again = constraint_matrix(cm.constraints, EXTENDED_CHART,
+                              registry=registry,
+                              classification=cm.classification)
+    assert again.classification is cm.classification
+    assert again.inverse == cm.inverse
+    assert again.gradients == cm.gradients
+
+
+def test_dirac_rejects_a_matrix_from_another_chart(gauged_system):
+    registry, _, _, cm = gauged_system
+    with pytest.raises(ChartMismatchError):
+        dirac(sym("x1"), sym("p1"), cm, ORIGINAL_CHART, registry=registry)

@@ -18,6 +18,7 @@ from _support import constant_registry
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 EXT_VARS = ["x1_tau", "p1_tau", "x2_tau", "p2_tau", "t_tau", "p_tau", "m"]
 
@@ -94,6 +95,19 @@ def test_analyze_regular_system(tmp_path, capsys):
     summary = json.loads((tmp_path / "analysis.json").read_text())
     assert summary["original"]["primaries"] == []
     assert summary["original"]["rank"] == 2
+
+
+@pytest.mark.parametrize(
+    "name", ["oscillator", "equilibrium", "free_particle", "invariant"])
+def test_analyze_output_is_byte_identical_to_goldens(tmp_path, capsys, name):
+    # the goldens hold the rendered normal forms; any change to how brackets
+    # or derivatives are assembled must leave every byte of them alone
+    code, out = run_cli(capsys, "analyze", str(CONFIGS / f"{name}.yaml"),
+                        "--out", str(tmp_path))
+    assert code == 0
+    assert out == (GOLDENS / f"{name}.analyze.txt").read_text()
+    assert ((tmp_path / "analysis.json").read_bytes()
+            == (GOLDENS / f"{name}.analysis.json").read_bytes())
 
 
 def test_jobs_write_per_config_subdirs(tmp_path, capsys):
@@ -186,6 +200,14 @@ def test_jobs_below_one_is_a_usage_error(capsys):
     assert "--jobs: must be at least 1" in capsys.readouterr().err
 
 
+def test_points_below_one_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform-check", str(CONFIGS / "transform.yaml"),
+                  "--points", "0"])
+    assert exc.value.code == 2
+    assert "--points: must be at least 1" in capsys.readouterr().err
+
+
 def test_pool_size_is_capped_by_tasks_and_cores(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert cli._pool_size(1, 3) == 1
@@ -228,6 +250,33 @@ def test_console_script_installed():
         proc = subprocess.run([exe], capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == 2
+
+
+def test_friction_table_covering_exactly_the_window_runs(tmp_path, capsys):
+    cfg = short_oscillator(t_end=10.0, points=21, method="rk45",
+                           abs_tol=1e-8, rel_tol=1e-8, max_step=0.5)
+    cfg["profiles"]["eta_fric"] = {"table": {
+        "times": [0.0, 2.5, 5.0, 7.5, 10.0], "values": [0.1] * 5}}
+    cfg["parameters"]["nu"] = 2.0
+    path = write_config(tmp_path, "table.yaml", cfg)
+    for command in ("analyze", "simulate", "invariant"):
+        code, out = run_cli(capsys, command, str(path),
+                            "--out", str(tmp_path / command))
+        assert code == 0, (command, out)
+
+
+def test_friction_table_short_of_the_window_exits_1(tmp_path, capsys):
+    cfg = short_oscillator(t_end=10.0)
+    cfg["profiles"]["eta_fric"] = {"table": {
+        "times": [0.0, 2.0, 4.0, 6.0, 8.0], "values": [0.1] * 5}}
+    path = write_config(tmp_path, "short_table.yaml", cfg)
+    for command in ("analyze", "simulate", "invariant"):
+        code, out = run_cli(capsys, command, str(path),
+                            "--out", str(tmp_path / command))
+        assert code == 1, (command, out)
+        line, = out.strip().splitlines()
+        assert line.startswith("scenario 'short_table': time ")
+        assert line.endswith("outside tabulated span [0.0, 8.0]")
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +443,46 @@ def test_points_flag_overrides_sample_count(tmp_path, capsys):
     assert code == 0
     summary = json.loads((tmp_path / "transform_check.json").read_text())
     assert summary["points"] == 16
+
+
+def test_config_points_apply_without_the_flag(tmp_path, capsys):
+    path = write_config(tmp_path, "identity.yaml",
+                        {"transform": {"a1": "Q1", "a2": "Q2", "b": "T"},
+                         "points": 64})
+    code, _ = run_cli(capsys, "transform-check", str(path),
+                      "--out", str(tmp_path))
+    assert code == 0
+    summary = json.loads((tmp_path / "transform_check.json").read_text())
+    assert summary["points"] == 64
+
+
+def test_points_flag_overrides_config_points(tmp_path, capsys):
+    path = write_config(tmp_path, "identity.yaml",
+                        {"transform": {"a1": "Q1", "a2": "Q2", "b": "T"},
+                         "points": 3})
+    code, _ = run_cli(capsys, "transform-check", str(path),
+                      "--out", str(tmp_path), "--points", "16")
+    assert code == 0
+    summary = json.loads((tmp_path / "transform_check.json").read_text())
+    assert summary["points"] == 16
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("seed", "abc", "seed: expected an integer >= 0, got 'abc'"),
+    ("seed", 1.5, "seed: expected an integer >= 0, got 1.5"),
+    ("seed", -1, "seed: expected an integer >= 0, got -1"),
+    ("points", 0, "points: expected an integer >= 1, got 0"),
+    ("points", "many", "points: expected an integer >= 1, got 'many'"),
+])
+def test_bad_transform_seed_or_points_exit_2(tmp_path, capsys, key, value,
+                                             reason):
+    path = write_config(tmp_path, "identity.yaml",
+                        {"transform": {"a1": "Q1", "a2": "Q2", "b": "T"},
+                         key: value})
+    code, out = run_cli(capsys, "transform-check", str(path),
+                        "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == f"error: {reason}"
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,26 @@ def test_atom_chain_rule_uses_registered_rule():
     assert equivalent(d, expected)
 
 
+@given(poly_exprs())
+def test_diff_by_an_absent_variable_is_zero(e):
+    assert diff(e, "q") == num(0)
+
+
+def test_diff_by_an_atom_argument_is_not_skipped():
+    reg = constant_registry(eta=0.5)
+    e = parse("x*f(t)", ["x", "t"], reg)
+    assert equivalent(diff(e, "t", reg),
+                      parse("-x*eta_fric(t)*f(t)", ["x", "t"], reg))
+
+
+def test_diff_still_rejects_a_zero_denominator():
+    # parse would already refuse this text, so build the raw tree
+    e = Div(sym("Q1"), sym("Q1") - sym("Q1"))
+    for v in ("P1", "Q1"):
+        with pytest.raises(ExprError, match="division by a zero expression"):
+            diff(e, v)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
