@@ -3,9 +3,9 @@
 Brackets are computed symbolically through exact expression arithmetic, so
 antisymmetry and the vanishing of Dirac brackets against second-class
 constraints hold identically, not just to tolerance.  Brackets are built
-from gradients (normal-form partials by each chart variable); a
-``ConstraintMatrix`` carries its constraints' gradients, which ``dirac`` and
-``hamilton_eom`` reuse.  The only numeric step
+from gradients (normal-form partials by each chart variable); the
+classification behind a ``ConstraintMatrix`` carries its constraints'
+gradients, which ``dirac`` and ``hamilton_eom`` reuse.  The only numeric step
 is the first/second-class decision for non-constant constraint brackets,
 which samples the constraint surface through expressions lowered once by
 ``expr.lower``, with coefficient atoms bound as independent values.
@@ -104,9 +104,11 @@ def _bracket(grad_f: Mapping[str, Rat], grad_g: Mapping[str, Rat],
 
 @dataclass(frozen=True)
 class ConstraintClassification:
-    """First/second-class split with the full bracket table behind it."""
+    """First/second-class split with the full bracket table behind it and
+    the constraint gradients it was built from."""
 
     constraints: Tuple[PhaseExpr, ...]
+    gradients: Tuple[Dict[str, Rat], ...]
     bracket_table: Tuple[Tuple[PhaseExpr, ...], ...]
     weakly_zero: Tuple[Tuple[bool, ...], ...]
     first_class: Tuple[int, ...]
@@ -130,15 +132,13 @@ class ConstraintClassification:
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    """Δ_ab = {φ_a, φ_b}, its symbolic inverse when Δ is regular, and the
-    gradients of the φ_a that ``dirac`` and ``hamilton_eom`` read."""
+    """Δ_ab = {φ_a, φ_b} and its symbolic inverse when Δ is regular."""
 
     constraints: Tuple[PhaseExpr, ...]
     delta: Tuple[Tuple[PhaseExpr, ...], ...]
     inverse: Optional[Tuple[Tuple[PhaseExpr, ...], ...]]
     classification: ConstraintClassification
     chart: Chart
-    gradients: Tuple[Dict[str, Rat], ...]
 
 
 def _surface_points(constraints: Sequence[PhaseExpr], chart: Chart,
@@ -252,7 +252,7 @@ def classify_constraints(constraints: Sequence[PhaseExpr], chart: Chart,
     """
     constraints = tuple(simplify(c) for c in constraints)
     n = len(constraints)
-    grads = [_gradient(c, chart, registry) for c in constraints]
+    grads = tuple(_gradient(c, chart, registry) for c in constraints)
     table = [[from_rat(_bracket(gi, gj, chart)) for gj in grads] for gi in grads]
 
     need_points = any(
@@ -276,6 +276,7 @@ def classify_constraints(constraints: Sequence[PhaseExpr], chart: Chart,
         (first if all(weakly[i]) else second).append(i)
     return ConstraintClassification(
         constraints=constraints,
+        gradients=grads,
         bracket_table=tuple(tuple(row) for row in table),
         weakly_zero=tuple(tuple(row) for row in weakly),
         first_class=tuple(first),
@@ -313,12 +314,9 @@ def _symbolic_inverse(delta: Sequence[Sequence[PhaseExpr]]
 def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
                       registry: Optional[AtomRegistry] = None,
                       values_hint: Optional[Mapping[str, float]] = None,
-                      seed: int = 20260817,
-                      classification: Optional[ConstraintClassification] = None
-                      ) -> ConstraintMatrix:
-    """Build Δ_ab = {φ_a, φ_b}, classify (or reuse ``classification``, made
-    by ``classify_constraints`` for these constraints), and invert."""
-    classification = classification or classify_constraints(
+                      seed: int = 20260817) -> ConstraintMatrix:
+    """Build Δ_ab = {φ_a, φ_b}, classify, and invert."""
+    classification = classify_constraints(
         constraints, chart, registry, values_hint, seed=seed)
     delta = classification.bracket_table
     for i in range(len(delta)):
@@ -334,8 +332,6 @@ def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
         inverse=inverse,
         classification=classification,
         chart=chart,
-        gradients=tuple(_gradient(phi, chart, registry)
-                        for phi in classification.constraints),
     )
 
 
@@ -355,8 +351,9 @@ def _dirac(grad_f: Mapping[str, Rat], grad_g: Mapping[str, Rat],
     if chart != cm.chart:
         raise ChartMismatchError(f"constraint matrix is over '{cm.chart.label}'")
     total = _bracket(grad_f, grad_g, chart)
-    left = [_bracket(grad_f, grad_phi, chart) for grad_phi in cm.gradients]
-    right = [_bracket(grad_phi, grad_g, chart) for grad_phi in cm.gradients]
+    grads = cm.classification.gradients
+    left = [_bracket(grad_f, grad_phi, chart) for grad_phi in grads]
+    right = [_bracket(grad_phi, grad_g, chart) for grad_phi in grads]
     for a, b in product(range(len(left)), repeat=2):
         if not (left[a].is_zero() or right[b].is_zero()):
             total = total - left[a] * to_rat(cm.inverse[a][b]) * right[b]

@@ -64,7 +64,6 @@ from .constraints import (
     ConstraintError,
     ConstraintSet,
     GaugeSpec,
-    classify,
     extended_oscillator,
     hessian,
     hessian_rank,
@@ -165,25 +164,21 @@ def load_config(path: Path) -> Mapping:
     return data
 
 
-def _number(section, key, default, where, positive=False):
-    value = section.get(key, default)
+def _number(section, key, default, where, positive=False, integer=False):
+    """Finite float (int with ``integer``); ``where=None``: a top-level key."""
+    name = key if where is None else f"{where}.{key}"
+    raw = section.get(key, default)
     try:
-        value = float(value)
+        value = float(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{name}: expected a number, got {raw!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"{where}.{key}: must be finite, got {value!r}")
+        raise ConfigError(f"{name}: must be finite, got {raw!r}")
     if positive and value <= 0:
-        raise ConfigError(f"{where}.{key}: must be positive")
-    return value
-
-
-def _integer(section, key, default, minimum):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{key}: expected an integer >= {minimum}, "
-                          f"got {value!r}")
-    return value
+        raise ConfigError(f"{name}: must be positive")
+    if integer and not value.is_integer():
+        raise ConfigError(f"{name}: expected an integer, got {raw!r}")
+    return int(value) if integer else value
 
 
 def _pair(section, key, where) -> Optional[Tuple[float, float]]:
@@ -255,7 +250,7 @@ def scenario_from_config(cfg: Mapping, label: str) -> Scenario:
     span = _pair(rsec, "span", "run") or (0.0, 10.0)
     if span[1] <= span[0]:
         raise ConfigError(f"run.span: empty span {list(span)}")
-    points = int(_number(rsec, "points", 201, "run"))
+    points = _number(rsec, "points", 201, "run", integer=True)
     if points < 2:
         raise ConfigError("run.points: need at least 2")
 
@@ -408,7 +403,10 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
         f"{'es' if search.passes != 1 else ''})"
     )
     cs = dataclasses.replace(cs, secondaries=search.secondaries)
-    cs = classify(cs, chart, registry=registry, values_hint=hint)
+    # one classification serves the report and the gauged Dirac brackets
+    cm = constraint_matrix(cs.all_constraints(), chart, registry=registry,
+                           values_hint=hint)
+    cs = dataclasses.replace(cs, classification=cm.classification)
     lines.append("  classification:")
     lines.extend("    " + row
                  for row in cs.classification.report().splitlines())
@@ -431,8 +429,6 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
     lines.append(f"gauge window: tau in [{tau1:g}, {tau2:g}] -> "
                  f"t in [{t1:g}, {t2:g}]")
     lines.append(f"  eta_gauge = {render(scenario.gauge.eta_gauge)}")
-    cm = constraint_matrix(cs.all_constraints(), chart, registry=registry,
-                           classification=cs.classification)
     lines.append("  Delta =")
     lines.extend("    " + row for row in _matrix_lines(cm.delta))
     lines.append("  C = Delta^-1 =")
@@ -622,7 +618,7 @@ def run_invariant(scenario: Scenario, out_dir: Path,
 # --------------------------------------------------------------------------
 
 def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
-                        points: int, tol: float) -> Tuple[int, str]:
+                        points: Optional[int], tol: float) -> Tuple[int, str]:
     section = cfg.get("transform")
     if not isinstance(section, Mapping):
         raise ConfigError("transform: section is required")
@@ -654,8 +650,14 @@ def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
                 raise ConfigError(f"override.{name}: {exc}")
         tr = dataclasses.replace(tr, maps=maps)
 
-    seed = _integer(cfg, "seed", 20260817, minimum=0)
-    count = _integer(cfg, "points", 64, minimum=1) if points is None else points
+    seed = _number(cfg, "seed", 20260817, None, integer=True)
+    if seed < 0:
+        raise ConfigError(f"seed: must be at least 0, got {seed}")
+    count = points
+    if count is None:
+        count = _number(cfg, "points", 64, None, integer=True)
+        if count < 1:
+            raise ConfigError(f"points: must be at least 1, got {count}")
     states = sample_states(tr, count=count, seed=seed)
     defect = symplectic_defect(tr, states)
     residual = max(

@@ -308,16 +308,6 @@ def test_hamilton_eom_matches_per_variable_brackets(gauged_system,
                                        registry), v
 
 
-def test_constraint_matrix_reuses_a_classification(curved_system):
-    registry, cm = curved_system
-    again = constraint_matrix(cm.constraints, EXTENDED_CHART,
-                              registry=registry,
-                              classification=cm.classification)
-    assert again.classification is cm.classification
-    assert again.inverse == cm.inverse
-    assert again.gradients == cm.gradients
-
-
 def test_dirac_rejects_a_matrix_from_another_chart(gauged_system):
     registry, _, _, cm = gauged_system
     with pytest.raises(ChartMismatchError):

@@ -178,6 +178,13 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "simulate.json").exists()
 
 
+def test_fractional_run_points_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, "frac.yaml", short_oscillator(points=50.5))
+    code, out = run_cli(capsys, "simulate", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == "error: run.points: expected an integer, got 50.5"
+
+
 def test_simulate_requires_gauge(tmp_path, capsys):
     cfg = short_oscillator()
     del cfg["gauge"]
@@ -468,11 +475,12 @@ def test_points_flag_overrides_config_points(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, reason", [
-    ("seed", "abc", "seed: expected an integer >= 0, got 'abc'"),
-    ("seed", 1.5, "seed: expected an integer >= 0, got 1.5"),
-    ("seed", -1, "seed: expected an integer >= 0, got -1"),
-    ("points", 0, "points: expected an integer >= 1, got 0"),
-    ("points", "many", "points: expected an integer >= 1, got 'many'"),
+    ("seed", "abc", "seed: expected a number, got 'abc'"),
+    ("seed", 1.5, "seed: expected an integer, got 1.5"),
+    ("seed", -1, "seed: must be at least 0, got -1"),
+    ("points", 0, "points: must be at least 1, got 0"),
+    ("points", "many", "points: expected a number, got 'many'"),
+    ("points", 2.5, "points: expected an integer, got 2.5"),
 ])
 def test_bad_transform_seed_or_points_exit_2(tmp_path, capsys, key, value,
                                              reason):
