@@ -433,6 +433,29 @@ class Rat:
         return Rat(poly_pow(self.num, n), poly_pow(self.den, n), reduce=False)
 
 
+def poly_diff(p: Poly, key: tuple) -> Poly:
+    """Partial derivative of a polynomial in key."""
+    out: Poly = {}
+    for m, c in p.items():
+        e = dict(m).get(key, 0)
+        if e:
+            out[tuple((k, ke - 1 if k == key else ke) for k, ke in m
+                      if k != key or ke > 1)] = c * e
+    return out
+
+
+def rat_diff(r: Rat, key: tuple) -> Rat:
+    """∂(N/D)/∂key = (∂N·(D/g) − N·(∂D/g)) / (D·D/g) with g = gcd(D, ∂D)
+    (Geddes, Czapor & Labahn, Algorithms for Computer Algebra, ch. 2)."""
+    dn, dd = poly_diff(r.num, key), poly_diff(r.den, key)
+    if not dd:
+        return Rat(dn, r.den, reduce=not is_const(r.den))
+    g = poly_gcd(r.den, dd)
+    dg = poly_div_exact(r.den, g)
+    num = poly_sub(poly_mul(dn, dg), poly_mul(r.num, poly_div_exact(dd, g)))
+    return Rat(num, poly_mul(r.den, dg))
+
+
 def integrate_poly(p: Poly, key: tuple) -> Poly:
     """Antiderivative of a polynomial in key, constant of integration zero."""
     out: Poly = {}

@@ -197,8 +197,8 @@ def complete(spec: TransformSpec) -> Transform:
     d1t = diff(spec.d1, "T")
     d2t = diff(spec.d2, "T")
 
-    c1 = from_rat(Rat.const(1) / to_rat(a1p))
-    c2 = from_rat(Rat.const(1) / to_rat(a2p))
+    c1 = simplify(1 / a1p)
+    c2 = simplify(1 / a2p)
     if not is_zero_expr(c1 * a1p - num(1)) or not is_zero_expr(
             c2 * a2p - num(1)):
         raise CanonicalError("C_i · A_i' = 1 failed to hold")
@@ -207,7 +207,7 @@ def complete(spec: TransformSpec) -> Transform:
         pt / bt - (a1t / (a1p * bt)) * p1 - (a2t / (a2p * bt)) * p2 + spec.g
     )
     quads: List[QuadTerm] = []
-    inv_bt = from_rat(Rat.const(1) / to_rat(bt))
+    inv_bt = simplify(1 / bt)
     for integrand_raw, variable in (
         (d1t * a1p - a1t * d1p, "Q1"),
         (d2t * a2p - a2t * d2p, "Q2"),

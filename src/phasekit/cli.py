@@ -191,7 +191,9 @@ def _pair(section, key, where) -> Optional[Tuple[float, float]]:
     return lo, hi
 
 
-def scenario_from_config(cfg: Mapping, label: str) -> Scenario:
+def scenario_from_config(cfg: Mapping, label: str,
+                         points: Optional[int] = None) -> Scenario:
+    """Validated scenario; ``points`` (``--points``) overrides run.points."""
     model = str(cfg.get("model", "extended"))
     if model not in ("original", "extended"):
         raise ConfigError(f"model: expected original or extended, got {model!r}")
@@ -250,9 +252,12 @@ def scenario_from_config(cfg: Mapping, label: str) -> Scenario:
     span = _pair(rsec, "span", "run") or (0.0, 10.0)
     if span[1] <= span[0]:
         raise ConfigError(f"run.span: empty span {list(span)}")
-    points = _number(rsec, "points", 201, "run", integer=True)
+    name = "--points"
+    if points is None:
+        name = "run.points"
+        points = _number(rsec, "points", 201, "run", integer=True)
     if points < 2:
-        raise ConfigError("run.points: need at least 2")
+        raise ConfigError(f"{name}: need at least 2, got {points}")
 
     return Scenario(
         label=label, model=model, m=m, nu=nu, omega_raw=omega_raw,
@@ -310,6 +315,9 @@ def build_registry(scenario: Scenario,
         # the friction is sampled over the padded window: stay inside a table
         ends = (eta.span if isinstance(eta, TabulatedProfile)
                 else (-math.inf, math.inf))
+        if not ends[0] <= 0.0 <= ends[1]:
+            raise ConfigError(f"profiles.eta_fric: table must cover t = 0, "
+                              f"spans [{ends[0]}, {ends[1]}]")
         damping = DampingFactorProfile(eta, (min(lo, max(lo - pad, ends[0])),
                                              max(hi, min(hi + pad, ends[1]))))
     return oscillator_registry(
@@ -704,9 +712,7 @@ def _run_one(command: str, path_str: str, opts: Dict) -> Tuple[int, str]:
         if command == "transform-check":
             return run_transform_check(cfg, path.stem, out_dir,
                                        opts["points"], opts["tol"])
-        scenario = scenario_from_config(cfg, path.stem)
-        if opts.get("points"):
-            scenario = dataclasses.replace(scenario, points=opts["points"])
+        scenario = scenario_from_config(cfg, path.stem, opts["points"])
         if command == "analyze":
             return run_analyze(scenario, out_dir)
         if command == "simulate":

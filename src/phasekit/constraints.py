@@ -249,7 +249,7 @@ def _solve_linear(equation: PhaseExpr, v: str) -> Optional[PhaseExpr]:
     if is_zero_expr(c) or v in free_symbols(c):
         return None
     rest = simplify(equation - Mul((c, sym(v))))
-    return from_rat(Rat.const(-1) * to_rat(rest) / to_rat(c))
+    return simplify(-rest / c)
 
 
 def legendre(model: LagrangianModel) -> LegendreResult:
@@ -277,7 +277,7 @@ def legendre(model: LagrangianModel) -> LegendreResult:
         progressed = False
         still = []
         for p in pending:
-            eq = simplify(subst(equations[p], solved)) if solved else equations[p]
+            eq = subst(equations[p], solved) if solved else equations[p]
             present = free_symbols(eq) & vel_set
             if not present:
                 if is_zero_expr(eq):
@@ -285,7 +285,7 @@ def legendre(model: LagrangianModel) -> LegendreResult:
                     continue
                 scale = diff(eq, p)
                 if not is_zero_expr(scale) and not (free_symbols(scale) & vel_set):
-                    eq = from_rat(to_rat(eq) / to_rat(scale))
+                    eq = eq / scale
                 primaries.append(simplify(eq))
                 progressed = True
                 continue
@@ -312,7 +312,7 @@ def legendre(model: LagrangianModel) -> LegendreResult:
 
     # velocities may reference later-solved velocities; close the map
     for _ in range(len(solved) + 1):
-        updated = {v: simplify(subst(e, solved)) for v, e in solved.items()}
+        updated = {v: subst(e, solved) for v, e in solved.items()}
         if updated == solved:
             break
         solved = updated
@@ -322,7 +322,7 @@ def legendre(model: LagrangianModel) -> LegendreResult:
          for p, v in zip(model.momenta, model.velocities)),
         start=num(0),
     ) - model.lagrangian
-    hamiltonian = simplify(subst(simplify(h), solved)) if solved else simplify(h)
+    hamiltonian = subst(simplify(h), solved) if solved else simplify(h)
 
     return LegendreResult(
         momenta={p: simplify(defs[p]) for p in model.momenta},

@@ -5,8 +5,10 @@ variable references, opaque time-dependent coefficient atoms (with optional
 registered derivative rules and numeric profiles), sums, products, integer
 powers and quotients.  ``simplify`` canonicalizes any tree to a reduced
 rational normal form, so structural equality after ``simplify`` decides
-semantic equality.  Floating point enters only through ``lower``, which
-compiles expressions to Python code; ``eval_expr`` is its one-shot form.
+semantic equality.  A canonical node carries its ``Rat`` (so arithmetic on
+canonical operands is one ``Rat`` operation), and ``diff`` works on that
+normal form.  Floating point enters only through ``lower``, which compiles
+expressions to Python code; ``eval_expr`` is its one-shot form.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class SubstitutionError(ExprError):
 @dataclass(frozen=True)
 class PhaseExpr:
     """Base node; all subclasses are immutable and hashable."""
+
+    _rat = None     # a from_rat node's Rat; no field: eq/hash/replace skip it
 
     def __add__(self, other):
         return Add((self, as_expr(other)))
@@ -186,6 +190,8 @@ def _key_node(key: tuple) -> PhaseExpr:
 
 def to_rat(e: PhaseExpr) -> Rat:
     """Exact rational normal form of an expression tree."""
+    if e._rat is not None:
+        return e._rat
     if isinstance(e, Num):
         return Rat.const(e.value)
     if isinstance(e, (Sym, Atom)):
@@ -246,25 +252,27 @@ def _poly_tree(p, den_mono=None) -> PhaseExpr:
             pairs = m
         terms.append(_term_tree(c, pairs))
     if not terms:
-        return ZERO
+        return Num(Fraction(0))
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
 def from_rat(r: Rat) -> PhaseExpr:
-    if r.is_zero():
-        return ZERO
+    """Canonical tree of a normal form; the tree carries ``r``."""
     if _poly.is_const(r.den):
-        return _poly_tree(r.num)
-    if len(r.den) == 1:
+        node = _poly_tree(r.num)
+    elif len(r.den) == 1:
         (dm, dc), = r.den.items()
         # monic denominator: dc == 1, fold into Laurent exponents
-        return _poly_tree(r.num, den_mono=dm)
-    return Div(_poly_tree(r.num), _poly_tree(r.den))
+        node = _poly_tree(r.num, den_mono=dm)
+    else:
+        node = Div(_poly_tree(r.num), _poly_tree(r.den))
+    object.__setattr__(node, "_rat", r)
+    return node
 
 
 def simplify(e: PhaseExpr) -> PhaseExpr:
     """Canonical form: flattened, sorted, gcd-reduced.  Idempotent."""
-    return from_rat(to_rat(e))
+    return e if e._rat is not None else from_rat(to_rat(e))
 
 
 def equivalent(a: PhaseExpr, b: PhaseExpr) -> bool:
@@ -333,10 +341,6 @@ def _collect_atoms(e: PhaseExpr, out: set) -> None:
         _collect_atoms(e.den, out)
 
 
-def contains_symbol(e: PhaseExpr, name: str) -> bool:
-    return name in free_symbols(e)
-
-
 # --------------------------------------------------------------------------
 # differentiation
 # --------------------------------------------------------------------------
@@ -344,14 +348,20 @@ def contains_symbol(e: PhaseExpr, name: str) -> bool:
 def diff(e: PhaseExpr, v, registry: "AtomRegistry | None" = None) -> PhaseExpr:
     """Exact partial derivative with respect to a variable name or an Atom.
 
-    Coefficient atoms differentiate through their registered rule when one
-    exists (base atoms only); otherwise a fresh atom of derivative order +1
-    is produced.
+    The chain rule runs over the keys of ``to_rat(e)``.  Coefficient atoms
+    differentiate through their registered rule when one exists (base atoms
+    only); otherwise a fresh atom of derivative order +1 is produced.
     """
-    if isinstance(v, str) and v not in free_symbols(e):
-        to_rat(e)  # a zero denominator still raises ExprError
-        return ZERO
-    return simplify(_diff(e, v, registry))
+    r = to_rat(e)
+    target = _sym_key(v) if isinstance(v, Atom) else (0, v)
+    out = Rat.const(Fraction(0))
+    for key in _poly.poly_vars(r.num) | _poly.poly_vars(r.den):
+        if key == target:
+            out = out + _poly.rat_diff(r, key)
+        elif key[0] == 1 and key[3] == v:
+            inner = to_rat(_atom_derivative(_key_node(key), registry))
+            out = out + _poly.rat_diff(r, key) * inner
+    return from_rat(out)
 
 
 def _diff(e: PhaseExpr, v, reg) -> PhaseExpr:

@@ -215,6 +215,23 @@ def test_points_below_one_is_a_usage_error(capsys):
     assert "--points: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "invariant"])
+def test_points_flag_below_two_is_a_config_error(tmp_path, capsys, command):
+    path = write_config(tmp_path, "osc.yaml", short_oscillator())
+    code, out = run_cli(capsys, command, str(path), "--out", str(tmp_path),
+                        "--points", "1")
+    assert code == 2
+    assert out.strip() == "error: --points: need at least 2, got 1"
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_run_points_below_two_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, "one.yaml", short_oscillator(points=1))
+    code, out = run_cli(capsys, "simulate", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == "error: run.points: need at least 2, got 1"
+
+
 def test_pool_size_is_capped_by_tasks_and_cores(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert cli._pool_size(1, 3) == 1
@@ -284,6 +301,21 @@ def test_friction_table_short_of_the_window_exits_1(tmp_path, capsys):
         line, = out.strip().splitlines()
         assert line.startswith("scenario 'short_table': time ")
         assert line.endswith("outside tabulated span [0.0, 8.0]")
+
+
+def test_friction_table_must_cover_time_zero(tmp_path, capsys):
+    cfg = short_oscillator(t_end=12.0)
+    cfg["gauge"]["t"] = [2.0, 12.0]
+    cfg["run"]["span"] = [2.0, 12.0]
+    cfg["profiles"]["eta_fric"] = {"table": {
+        "times": [2.0, 4.5, 7.0, 9.5, 12.0], "values": [0.1] * 5}}
+    path = write_config(tmp_path, "late_table.yaml", cfg)
+    for command in ("analyze", "simulate", "invariant"):
+        code, out = run_cli(capsys, command, str(path),
+                            "--out", str(tmp_path / command))
+        assert code == 2, (command, out)
+        assert out.strip() == ("error: profiles.eta_fric: table must cover "
+                               "t = 0, spans [2.0, 12.0]")
 
 
 # ---------------------------------------------------------------------------

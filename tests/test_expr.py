@@ -1,11 +1,13 @@
 """Expression layer: parsing, normal forms, differentiation, profiles."""
 
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phasekit import (
@@ -32,7 +34,8 @@ from phasekit import (
     subst,
     sym,
 )
-from phasekit.expr import Add, Div, ExprError, Mul, atoms_in, to_rat
+from phasekit.expr import (Add, Div, ExprError, Mul, Pow, _diff, atoms_in,
+                           from_rat, to_rat)
 
 from _support import constant_registry
 
@@ -186,6 +189,73 @@ def test_diff_still_rejects_a_zero_denominator():
     for v in ("P1", "Q1"):
         with pytest.raises(ExprError, match="division by a zero expression"):
             diff(e, v)
+
+
+# f carries a registered rule, w does not, and atoms of order 1 never do
+ATOMS = (atom("f", "t"), atom("w", "t"), atom("f", "t", 1), atom("w", "t", 1),
+         atom("f", "s"))
+
+
+@st.composite
+def atom_exprs(draw, depth=0):
+    if depth >= 3 or draw(st.booleans()):
+        leaf = draw(st.sampled_from(["x", "t", "s", "atom", "c"]))
+        if leaf == "c":
+            return num(Fraction(draw(coeffs), draw(st.integers(1, 3))))
+        return draw(st.sampled_from(ATOMS)) if leaf == "atom" else sym(leaf)
+    op = draw(st.sampled_from(["add", "mul", "div", "pow"]))
+    a = draw(atom_exprs(depth=depth + 1))
+    if op == "pow":
+        return Pow(a, draw(st.integers(-2, 3)))
+    b = draw(atom_exprs(depth=depth + 1))
+    return Add((a, b)) if op == "add" else Mul((a, b)) if op == "mul" \
+        else Div(a, b)
+
+
+@settings(max_examples=300)
+@given(atom_exprs(),
+       st.sampled_from(["x", "t", "s", "q", *ATOMS]),
+       st.sampled_from([None, constant_registry()]))
+def test_diff_on_the_normal_form_matches_the_tree_rules(e, v, reg):
+    # oracle: product/quotient-rule tree of the raw expression, simplified
+    try:
+        expected = simplify(_diff(e, v, reg))
+    except ExprError:
+        with pytest.raises(ExprError):
+            diff(e, v, reg)
+        return
+    got = diff(e, v, reg)
+    assert got == expected
+    assert render(got) == render(expected)
+    # the attached Rat is the normal form of the tree it sits on
+    assert to_rat(got) == to_rat(expected) == to_rat(dataclasses.replace(got))
+
+
+def test_from_rat_attaches_its_rat():
+    r = to_rat(expr_of("(x^2 - y)/(x + z) + 3*y"))
+    node = from_rat(r)
+    assert to_rat(node) is r
+    assert simplify(node) is node
+
+
+def test_attached_rat_leaves_equality_hash_and_replace_alone():
+    node = expr_of("x*y + 2/z")
+    bare = dataclasses.replace(node)
+    assert bare == node and hash(bare) == hash(node)
+    assert repr(bare) == repr(node) and "_rat" not in repr(node)
+    assert "_rat" not in {f.name for f in dataclasses.fields(node)}
+    assert "_rat" not in vars(bare)
+    assert to_rat(bare) == to_rat(node)
+    assert {node: 1}[bare] == 1
+
+
+def test_canonical_node_survives_pickle():
+    reg = constant_registry()
+    node = parse("m*w(t)^2*x/f(t) - x^3", ["m", "x", "t"], reg)
+    clone = pickle.loads(pickle.dumps(node))
+    assert clone == node and render(clone) == render(node)
+    assert vars(clone)["_rat"] == to_rat(node)
+    assert to_rat(clone) == to_rat(dataclasses.replace(node))
 
 
 # ---------------------------------------------------------------------------
