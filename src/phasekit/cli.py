@@ -48,7 +48,6 @@ from .brackets import (
     BracketError,
     constraint_matrix,
     dirac,
-    hamilton_eom,
 )
 from .canonical import (
     CanonicalError,
@@ -81,6 +80,7 @@ from .dynamics import (
     extended_constraint,
     integrate,
     integrate_extended,
+    original_equations,
     write_csv,
 )
 from .expr import (
@@ -117,6 +117,10 @@ from .invariants import (
 OK = 0
 CHECK_FAILED = 1
 CONFIG_ERROR = 2
+
+# largest grid or sample count that --points, run.points or a transform's
+# points: may ask for
+MAX_POINTS = 100_000
 
 
 class ConfigError(Exception):
@@ -258,6 +262,9 @@ def scenario_from_config(cfg: Mapping, label: str,
         points = _number(rsec, "points", 201, "run", integer=True)
     if points < 2:
         raise ConfigError(f"{name}: need at least 2, got {points}")
+    if points > MAX_POINTS:
+        raise ConfigError(
+            f"{name}: must be at most {MAX_POINTS}, got {points}")
 
     return Scenario(
         label=label, model=model, m=m, nu=nu, omega_raw=omega_raw,
@@ -489,11 +496,7 @@ def run_simulate(scenario: Scenario, out_dir: Path,
     params = {"m": scenario.m}
     points = scenario.points
 
-    original = original_oscillator(params, registry)
-    h_expr = legendre(original).hamiltonian
-    # "t" enters H through the coefficient profiles; the integrator binds it.
-    eom = hamilton_eom(h_expr, original.chart, registry=registry,
-                       params=set(params) | {"t"})
+    h_expr, eom = original_equations(registry)
     tau_grid = np.linspace(tau1, tau2, points)
     t_grid = np.array([gauge.time_of(float(v)) for v in tau_grid])
     orig = integrate(eom, scenario.initial, t_grid, scenario.policy,
@@ -666,6 +669,9 @@ def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
         count = _number(cfg, "points", 64, None, integer=True)
         if count < 1:
             raise ConfigError(f"points: must be at least 1, got {count}")
+        if count > MAX_POINTS:
+            raise ConfigError(
+                f"points: must be at most {MAX_POINTS}, got {count}")
     states = sample_states(tr, count=count, seed=seed)
     defect = symplectic_defect(tr, states)
     residual = max(
@@ -777,6 +783,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--jobs: must be at least 1, got {args.jobs}")
     if args.points is not None and args.points < 1:
         parser.error(f"--points: must be at least 1, got {args.points}")
+    if args.points is not None and args.points > MAX_POINTS:
+        parser.error(
+            f"--points: must be at most {MAX_POINTS}, got {args.points}")
     opts = {
         "out": args.out,
         "points": args.points,

@@ -295,6 +295,10 @@ def _resolve_grid(grid_or_span, points: int) -> np.ndarray:
     return arr
 
 
+# integrate() refuses a grid that would take more max_step steps than this
+MAX_STEPS = 1_000_000
+
+
 def integrate(eom: Mapping[str, PhaseExpr], init: Mapping[str, float],
               grid_or_span, policy: IntegratorPolicy = IntegratorPolicy(),
               registry: Optional[AtomRegistry] = None,
@@ -307,6 +311,11 @@ def integrate(eom: Mapping[str, PhaseExpr], init: Mapping[str, float],
     if missing:
         raise PreconditionError(f"initial state missing variables {missing}")
     grid = _resolve_grid(grid_or_span, points)
+    if (grid[-1] - grid[0]) / policy.max_step > MAX_STEPS:
+        raise DynamicsError(
+            f"max_step {policy.max_step:g} needs more than {MAX_STEPS} "
+            f"steps over [{grid[0]:g}, {grid[-1]:g}]"
+        )
     rhs = compile_rhs(eom, variables, registry, params, time_var=param_name)
     y0 = np.array([float(init[v]) for v in variables])
     stepper = _integrate_rk45 if policy.method == "rk45" else _integrate_rk4
@@ -327,6 +336,18 @@ def integrate(eom: Mapping[str, PhaseExpr], init: Mapping[str, float],
 # --------------------------------------------------------------------------
 
 _EXTENDED_CACHE: Dict[str, object] = {}
+
+
+def original_equations(registry: AtomRegistry
+                       ) -> Tuple[PhaseExpr, Dict[str, PhaseExpr]]:
+    """H and Hamilton's equations (x1, x2, p1, p2) of the original
+    oscillator, with m symbolic; derived afresh for each registry."""
+    model = _constraints.original_oscillator(registry=registry)
+    h = _constraints.legendre(model).hamiltonian
+    # "t" enters H through the coefficient profiles; the integrator binds it.
+    eom = _brackets.hamilton_eom(h, model.chart, registry=registry,
+                                 params={"m", "t"})
+    return h, eom
 
 
 def extended_equations() -> Dict[str, PhaseExpr]:

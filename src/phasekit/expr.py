@@ -563,7 +563,6 @@ class CoefficientAtom:
     """
 
     name: str
-    depends_on: str = "t"
     derivative: Optional[Callable[[str], PhaseExpr]] = None
     profile: Optional[Profile] = None
 
@@ -575,21 +574,18 @@ class AtomRegistry:
         self._atoms: Dict[str, CoefficientAtom] = {}
         self._frozen = False
 
-    def register(self, name: str, depends_on: str = "t",
+    def register(self, name: str,
                  derivative: Optional[Callable[[str], PhaseExpr]] = None,
                  profile: Optional[Profile] = None) -> None:
         if self._frozen:
             raise RuntimeError("atom registry is frozen")
-        self._atoms[name] = CoefficientAtom(name, depends_on, derivative, profile)
+        self._atoms[name] = CoefficientAtom(name, derivative, profile)
 
     def __contains__(self, name: str) -> bool:
         return name in self._atoms
 
     def names(self) -> Tuple[str, ...]:
         return tuple(self._atoms)
-
-    def get(self, name: str) -> CoefficientAtom:
-        return self._atoms[name]
 
     def rule(self, name: str):
         entry = self._atoms.get(name)
@@ -603,27 +599,6 @@ class AtomRegistry:
 
     def freeze(self) -> None:
         self._frozen = True
-
-    def validate_rules(self, times: Iterable[float], rel_tol: float = 1e-6) -> None:
-        """Check each derivative rule against finite differences of the
-        profile; raises ``EvalError`` on disagreement."""
-        for name, entry in self._atoms.items():
-            if entry.derivative is None or entry.profile is None:
-                continue
-            arg = entry.depends_on
-            rule_expr = simplify(entry.derivative(arg))
-            for t in times:
-                h = 1e-6 * max(1.0, abs(t))
-                fd = (
-                    entry.profile.value(0, t + h) - entry.profile.value(0, t - h)
-                ) / (2 * h)
-                rv = eval_expr(rule_expr, {arg: float(t)}, registry=self)
-                scale = max(abs(fd), abs(rv), 1e-12)
-                if abs(fd - rv) > rel_tol * scale:
-                    raise EvalError(
-                        f"derivative rule for '{name}' disagrees with its "
-                        f"profile at t={t}: rule={rv}, finite diff={fd}"
-                    )
 
 
 # --------------------------------------------------------------------------

@@ -4,27 +4,28 @@ The auxiliary equation
 
     rho'' + eta(t) rho' + w(t)^2 rho = nu^2 f(t)^2 / (m^2 rho^3)
 
-is solved with the same steppers as the oscillator itself; when the
-invariant is to be conserved to tight tolerance the oscillator and rho are
-co-integrated as one coupled system so no interpolation error enters.
+is solved with the same steppers as the oscillator itself, through one
+guarded ``integrate`` call that turns every failure of rho into
+``ErmakovBlowupError``.  ``co_integrate`` runs the oscillator's Hamilton
+equations, derived by ``dynamics.original_equations``, plus
+``ermakov_equations`` as one coupled system, so the invariant is checked
+on one grid with no interpolation error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .dynamics import (
-    DynamicsError,
     IntegratorPolicy,
     NonFiniteStateError,
     StepSizeUnderflowError,
     Trajectory,
     integrate,
+    original_equations,
 )
 from .expr import AtomRegistry, PhaseExpr, parse
 
@@ -93,99 +94,73 @@ class ErmakovSolution:
             raise ErmakovBlowupError(last)
 
 
-_RHO_EOM_TEXT = (
-    "-(eta_fric(t)*rho_dot) - w(t)^2*rho + nu^2*f(t)^2/(m^2*rho^3)"
-)
-_RHO_EOM_LINEAR_TEXT = "-(eta_fric(t)*rho_dot) - w(t)^2*rho"
-
-
 def ermakov_equations(cfg: ErmakovConfig) -> Dict[str, PhaseExpr]:
-    """First-order form of the auxiliary equation."""
+    """First-order form of the auxiliary equation; nu = 0 drops the
+    repulsive term (the linear reduction)."""
     variables = ["rho", "rho_dot", "t", "m", "nu"]
-    text = _RHO_EOM_LINEAR_TEXT if cfg.nu == 0 else _RHO_EOM_TEXT
+    text = "-(eta_fric(t)*rho_dot) - w(t)^2*rho"
+    if cfg.nu != 0:
+        text += " + nu^2*f(t)^2/(m^2*rho^3)"
     return {
         "rho": parse("rho_dot", variables),
         "rho_dot": parse(text, variables, cfg.registry),
     }
 
 
-def _positivity_observer(floor: float, index: int = 0):
-    state = {"last": None}
+class _PositivityWatch:
+    """Aborts a run once rho (state slot ``index``) is not finite and above
+    ``floor``; ``last`` holds the last time it was (``start`` until then)."""
 
-    def watch(t, y):
-        if not np.isfinite(y[index]) or y[index] <= floor:
-            last = state["last"]
-            raise ErmakovBlowupError(last if last is not None else t)
-        state["last"] = t
+    def __init__(self, floor: float, index: int, start: float):
+        self.floor, self.index, self.last = floor, index, start
 
-    return watch
+    def __call__(self, t, y):
+        if not np.isfinite(y[self.index]) or y[self.index] <= self.floor:
+            raise ErmakovBlowupError(self.last)
+        self.last = t
+
+
+def _integrate_guarded(cfg: ErmakovConfig, eom: Mapping[str, PhaseExpr],
+                       init: Mapping[str, float], policy: IntegratorPolicy,
+                       points: int) -> Trajectory:
+    """Run ``eom``, which holds rho and rho_dot, over the span; step-size
+    underflow and non-finite states surface as ``ErmakovBlowupError``."""
+    init = {**init, "rho": cfg.rho0, "rho_dot": cfg.rho_dot0}
+    watch = _PositivityWatch(1e-9 * cfg.rho0, list(eom).index("rho"),
+                             float(cfg.span[0]))
+    try:
+        return integrate(eom, init, cfg.span, policy, cfg.registry,
+                         {"m": cfg.m, "nu": float(cfg.nu)}, param_name="t",
+                         points=points, observer=watch)
+    except (StepSizeUnderflowError, NonFiniteStateError) as exc:
+        raise ErmakovBlowupError(watch.last) from exc
 
 
 def solve_ermakov(cfg: ErmakovConfig,
                   policy: IntegratorPolicy = IntegratorPolicy(),
-                  points: int = 201, grid=None) -> ErmakovSolution:
+                  points: int = 201) -> ErmakovSolution:
     """Integrate the auxiliary equation over the configured span.
 
     Raises ``ErmakovBlowupError`` with the last valid time if rho reaches
     the positivity barrier (which the nu > 0 repulsive term normally
     prevents, but nu = 0 or extreme data can defeat).
     """
-    eom = ermakov_equations(cfg)
-    init = {"rho": cfg.rho0, "rho_dot": cfg.rho_dot0}
-    params = {"m": cfg.m, "nu": float(cfg.nu)}
-    floor = 1e-9 * cfg.rho0
-    watch = _positivity_observer(floor)
-    target = grid if grid is not None else cfg.span
-    try:
-        traj = integrate(eom, init, target, policy, cfg.registry, params,
-                         param_name="t", points=points, observer=watch)
-    except (StepSizeUnderflowError, NonFiniteStateError) as exc:
-        raise ErmakovBlowupError(_last_seen(watch)) from exc
-    return ErmakovSolution(
-        grid=traj.grid, rho=traj.series["rho"], rho_dot=traj.series["rho_dot"]
-    )
-
-
-def _last_seen(watch) -> float:
-    for cell in watch.__closure__ or ():
-        contents = cell.cell_contents
-        if isinstance(contents, dict) and "last" in contents:
-            return contents["last"] if contents["last"] is not None else math.nan
-    return math.nan
+    traj = _integrate_guarded(cfg, ermakov_equations(cfg), {}, policy, points)
+    return solution_from_trajectory(traj)
 
 
 def co_integrate(cfg: ErmakovConfig, oscillator_init: Mapping[str, float],
                  policy: IntegratorPolicy = IntegratorPolicy(),
-                 points: int = 201, grid=None) -> Trajectory:
-    """One coupled run: oscillator (x1, x2, p1, p2) plus (rho, rho_dot).
+                 points: int = 201) -> Trajectory:
+    """One coupled run: the oscillator's derived Hamilton equations
+    (x1, x2, p1, p2) plus ``ermakov_equations`` (rho, rho_dot).
 
     Sharing a single integration keeps the invariant-conservation check
     free of interpolation error.
     """
-    variables = ["x1", "x2", "p1", "p2", "rho", "rho_dot", "t", "m", "nu"]
-    reg = cfg.registry
-    eom = {
-        "x1": parse("f(t)*p1/m", variables, reg),
-        "x2": parse("f(t)*p2/m", variables, reg),
-        "p1": parse("-(m*w(t)^2/f(t))*x1", variables, reg),
-        "p2": parse("-(m*w(t)^2/f(t))*x2", variables, reg),
-        "rho": parse("rho_dot", variables),
-        "rho_dot": parse(
-            _RHO_EOM_LINEAR_TEXT if cfg.nu == 0 else _RHO_EOM_TEXT,
-            variables, reg),
-    }
-    init = dict(oscillator_init)
-    init["rho"] = cfg.rho0
-    init["rho_dot"] = cfg.rho_dot0
-    params = {"m": cfg.m, "nu": float(cfg.nu)}
-    watch = _positivity_observer(1e-9 * cfg.rho0,
-                                 index=list(eom).index("rho"))
-    target = grid if grid is not None else cfg.span
-    try:
-        return integrate(eom, init, target, policy, reg, params,
-                         param_name="t", points=points, observer=watch)
-    except (StepSizeUnderflowError, NonFiniteStateError) as exc:
-        raise ErmakovBlowupError(_last_seen(watch)) from exc
+    _, eom = original_equations(cfg.registry)
+    eom.update(ermakov_equations(cfg))
+    return _integrate_guarded(cfg, eom, oscillator_init, policy, points)
 
 
 def solution_from_trajectory(traj: Trajectory) -> ErmakovSolution:
@@ -202,17 +177,10 @@ def lewis_invariant(traj: Trajectory, sol: ErmakovSolution,
             + (m f⁻¹ rho' x2 − rho p2)² + nu² x2²/rho² ]
     """
     grid = traj.grid
-    if sol.grid.shape == grid.shape and np.allclose(sol.grid, grid,
-                                                    rtol=0, atol=1e-12):
-        rho, rho_dot = sol.rho, sol.rho_dot
-    else:
-        lo, hi = float(sol.grid[0]), float(sol.grid[-1])
-        if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
-            raise InvariantError(
-                "trajectory grid extends beyond the auxiliary solution span"
-            )
-        rho = CubicSpline(sol.grid, sol.rho)(grid)
-        rho_dot = CubicSpline(sol.grid, sol.rho_dot)(grid)
+    if sol.grid.shape != grid.shape or not np.allclose(sol.grid, grid,
+                                                       rtol=0, atol=1e-12):
+        raise InvariantError("the solution is not on the trajectory's grid")
+    rho, rho_dot = sol.rho, sol.rho_dot
 
     f_value = cfg.registry.profile("f").value
     f = np.array([f_value(0, float(t)) for t in grid])

@@ -7,7 +7,9 @@ one-line summaries survive pytest's output capture.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 from fractions import Fraction
 from typing import Callable, Dict, Tuple
 
@@ -21,6 +23,22 @@ ACCEPTANCE: Dict[int, Tuple[bool, str]] = {}
 
 def record(criterion: int, passed: bool, detail: str = "") -> None:
     ACCEPTANCE[criterion] = (bool(passed), detail)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` if the block runs longer than ``seconds``, so
+    a hang fails its test instead of stalling the run (main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def constant_registry(omega: float = 2.0, eta: float = 0.0):

@@ -14,7 +14,7 @@ import yaml
 import phasekit
 from phasekit import cli, equivalent, parse
 
-from _support import constant_registry
+from _support import constant_registry, deadline
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -230,6 +230,41 @@ def test_run_points_below_two_is_a_config_error(tmp_path, capsys):
     code, out = run_cli(capsys, "simulate", str(path), "--out", str(tmp_path))
     assert code == 2
     assert out.strip() == "error: run.points: need at least 2, got 1"
+
+
+def test_points_flag_above_the_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", str(CONFIGS / "oscillator.yaml"),
+                  "--points", "10000000000000"])
+    assert exc.value.code == 2
+    assert ("--points: must be at most 100000, got 10000000000000"
+            in capsys.readouterr().err)
+
+
+def test_run_points_above_the_cap_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, "big.yaml",
+                        short_oscillator(points=10_000_000_000_000))
+    code, out = run_cli(capsys, "simulate", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == ("error: run.points: must be at most 100000, "
+                           "got 10000000000000")
+
+
+@pytest.mark.parametrize("command", ["simulate", "invariant"])
+@pytest.mark.parametrize("integrator", [
+    {"method": "rk4", "max_step": 1e-300},
+    {"method": "rk45", "max_step": 1e-9},
+], ids=["rk4", "rk45"])
+def test_tiny_max_step_is_refused_before_stepping(tmp_path, capsys, command,
+                                                  integrator):
+    path = write_config(tmp_path, "tiny.yaml", short_oscillator(**integrator))
+    with deadline(10):
+        code, out = run_cli(capsys, command, str(path), "--out", str(tmp_path))
+    assert code == 1
+    assert out.strip() == (
+        f"scenario 'tiny': max_step {integrator['max_step']:g} needs more "
+        f"than 1000000 steps over [0, 2]"
+    )
 
 
 def test_pool_size_is_capped_by_tasks_and_cores(monkeypatch):
@@ -511,6 +546,8 @@ def test_points_flag_overrides_config_points(tmp_path, capsys):
     ("seed", 1.5, "seed: expected an integer, got 1.5"),
     ("seed", -1, "seed: must be at least 0, got -1"),
     ("points", 0, "points: must be at least 1, got 0"),
+    ("points", 10_000_000_000_000,
+     "points: must be at most 100000, got 10000000000000"),
     ("points", "many", "points: expected a number, got 'many'"),
     ("points", 2.5, "points: expected an integer, got 2.5"),
 ])

@@ -19,12 +19,10 @@ from phasekit import (
     eval_expr,
     extended_constraint,
     extended_equations,
-    hamilton_eom,
     integrate,
     integrate_extended,
-    legendre,
     num,
-    original_oscillator,
+    original_equations,
     parse,
     simplify,
     sym,
@@ -37,23 +35,19 @@ TIGHT = IntegratorPolicy(method="rk45", abs_tol=1e-12, rel_tol=1e-12,
                          max_step=0.05)
 
 
-def oscillator_eom(registry, m=1.0):
-    model = original_oscillator({"m": m}, registry)
-    h = legendre(model).hamiltonian
-    return hamilton_eom(h, model.chart, registry=registry,
-                        params={"m", "t"}), h, model
-
-
 # ---------------------------------------------------------------------------
 # equations of motion
 # ---------------------------------------------------------------------------
 
 def test_hamilton_eom_golden():
     registry = constant_registry(omega=2.0, eta=0.1)
-    eom, _, model = oscillator_eom(registry)
+    _, eom = original_equations(registry)
     ext = ["x1", "p1", "x2", "p2", "t", "m"]
-    assert equivalent(eom["x1"], parse("f(t)*p1/m", ext, registry))
-    assert equivalent(eom["p1"], parse("-m*w(t)^2*x1/f(t)", ext, registry))
+    # the order fixes the CSV columns of every oscillator run
+    assert list(eom) == ["x1", "x2", "p1", "p2"]
+    for i in ("1", "2"):
+        assert eom["x" + i] == parse(f"f(t)*p{i}/m", ext, registry)
+        assert eom["p" + i] == parse(f"-(m*w(t)^2/f(t))*x{i}", ext, registry)
 
 
 def test_extended_equations_structure():
@@ -74,7 +68,7 @@ def test_extended_equations_structure():
 def test_rk45_matches_damped_closed_form():
     omega, eta, m = 2.0, 0.25, 1.0
     registry = constant_registry(omega, eta)
-    eom, _, _ = oscillator_eom(registry, m)
+    _, eom = original_equations(registry)
     init = {"x1": 1.0, "p1": 0.0, "x2": 0.0, "p2": 1.0}
     grid = np.linspace(0.0, 10.0, 201)
     traj = integrate(eom, init, grid, TIGHT, registry, {"m": m})
@@ -85,7 +79,7 @@ def test_rk45_matches_damped_closed_form():
 
 def test_rk45_reports_step_statistics():
     registry = constant_registry(1.0, 0.0)
-    eom, _, _ = oscillator_eom(registry)
+    _, eom = original_equations(registry)
     traj = integrate(eom, {"x1": 1.0, "p1": 0.0, "x2": 0.0, "p2": 0.0},
                      (0.0, 5.0), TIGHT, registry, {"m": 1.0}, points=51)
     stats = traj.stats
@@ -98,7 +92,7 @@ def test_rk45_reports_step_statistics():
 
 def test_rk4_fixed_grid_is_deterministic(tmp_path):
     registry = constant_registry(2.0, 0.1)
-    eom, _, _ = oscillator_eom(registry)
+    _, eom = original_equations(registry)
     policy = IntegratorPolicy(method="rk4", max_step=0.01)
     init = {"x1": 1.0, "p1": 0.0, "x2": 0.5, "p2": -0.2}
     outs = []
@@ -114,7 +108,7 @@ def test_rk4_fixed_grid_is_deterministic(tmp_path):
 
 def test_rk4_accuracy_scales_with_step():
     registry = constant_registry(2.0, 0.0)
-    eom, _, _ = oscillator_eom(registry)
+    _, eom = original_equations(registry)
     init = {"x1": 1.0, "p1": 0.0, "x2": 0.0, "p2": 0.0}
     x_of, _ = damped_oracle(2.0, 0.0, 1.0, 0.0)
     errs = []
@@ -134,7 +128,7 @@ def test_rk4_accuracy_scales_with_step():
 
 def test_missing_initial_variable():
     registry = constant_registry()
-    eom, _, _ = oscillator_eom(registry)
+    _, eom = original_equations(registry)
     with pytest.raises(PreconditionError):
         integrate(eom, {"x1": 1.0}, (0.0, 1.0), TIGHT, registry, {"m": 1.0})
 
@@ -167,7 +161,7 @@ def test_trajectory_validates_series():
 def extended_setup(omega=2.0, eta=0.1, m=1.0):
     registry = constant_registry(omega, eta)
     gauge = GaugeSpec((0.0, 1.0, 0.0, 10.0))
-    _, h, _ = oscillator_eom(registry, m)
+    h, _ = original_equations(registry)
     init = {"x1": 1.0, "p1": 0.0, "x2": 0.0, "p2": 1.0}
     h0 = eval_expr(h, {**init, "m": m}, time=0.0, registry=registry)
     ext_init = {"x1_tau": init["x1"], "x2_tau": init["x2"],
@@ -180,7 +174,7 @@ def test_extended_run_tracks_the_original(tmp_path):
     registry, gauge, init, ext_init = extended_setup()
     ext = integrate_extended(gauge, ext_init, TIGHT, registry, {"m": 1.0},
                              points=101)
-    eom, _, _ = oscillator_eom(registry)
+    _, eom = original_equations(registry)
     t_grid = np.array([gauge.time_of(v) for v in ext.grid])
     orig = integrate(eom, init, t_grid, TIGHT, registry, {"m": 1.0})
     for a, b in (("x1_tau", "x1"), ("p1_tau", "p1"),

@@ -12,6 +12,8 @@ from phasekit import (
     ErmakovSolution,
     ExprProfile,
     IntegratorPolicy,
+    InvariantError,
+    StepSizeUnderflowError,
     co_integrate,
     ermakov_residuals,
     export_invariant_csv,
@@ -64,6 +66,28 @@ def test_linear_limit_allows_zero_barrier():
     assert 0.5 < err.value.last_valid_time <= math.pi / 4
 
 
+def _blowup_config():
+    # w = 1/(1-t) is singular at t = 1: the stepper underflows just short
+    # of it, and 0.9 is the last grid time rho was checked valid
+    registry = oscillator_registry(
+        friction_profile=ConstantProfile(0.0),
+        frequency_profile=ExprProfile(parse("1/(1-t)", ["t"])),
+        damping_profile=ConstantProfile(1.0),
+    )
+    return ErmakovConfig(registry, (0.0, 2.0), m=1.0, nu=1.0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: solve_ermakov(cfg, TIGHT, points=21),
+    lambda cfg: co_integrate(cfg, INIT, TIGHT, points=21),
+], ids=["solve_ermakov", "co_integrate"])
+def test_step_size_underflow_reports_last_valid_time(run):
+    with pytest.raises(ErmakovBlowupError) as err:
+        run(_blowup_config())
+    assert isinstance(err.value.__cause__, StepSizeUnderflowError)
+    assert err.value.last_valid_time == 0.9
+
+
 def test_solution_rejects_nonpositive_rho():
     grid = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ErmakovBlowupError):
@@ -114,6 +138,14 @@ def test_invariant_conserved_for_drifting_frequency():
     assert invariant_drift_report(values, traj.grid).max_drift < 1e-8
     # sanity: the motion itself is not trivially steady
     assert float(np.ptp(traj.series["x1"])) > 0.1
+
+
+def test_invariant_needs_the_trajectory_grid():
+    cfg = ErmakovConfig(constant_registry(2.0), (0.0, 2.0), m=1.0, nu=2.0)
+    traj = co_integrate(cfg, INIT, TIGHT, points=41)
+    sol = solve_ermakov(cfg, TIGHT, points=21)
+    with pytest.raises(InvariantError, match="trajectory's grid"):
+        lewis_invariant(traj, sol, cfg)
 
 
 def test_drift_report_matches_manual_computation():
