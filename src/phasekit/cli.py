@@ -618,6 +618,7 @@ def run_invariant(scenario: Scenario, out_dir: Path,
         "drift_mode": report.mode,
         "ode_residual": residual,
         "tolerance": tol,
+        "stats": traj.stats,
         "files": ["invariant.csv"],
         "status": "ok" if code == OK else "check-failed",
     })

@@ -1,11 +1,12 @@
 """Numeric integration of the original and extended oscillator flows.
 
 Right-hand sides arrive as symbolic equations of motion and are lowered to
-plain Python callables once per run by ``expr.lower``; ``compile_rhs`` and
-``compile_scalar`` adapt its tuples to arrays and floats.  Two steppers are provided: adaptive
-Dormand-Prince RK45 (default) and fixed-step RK4 for reproducibility
-tables.  Both land exactly on the requested output grid; no dense-output
-interpolation is involved.
+plain Python callables once per run by ``expr.lower``.  Two steppers are
+provided: adaptive Dormand-Prince RK45 (default) and fixed-step RK4 for
+reproducibility tables.  Both carry the state as a tuple of Python floats,
+from which ``integrate`` builds the output table once, and both land
+exactly on the requested output grid; no dense-output interpolation is
+involved.
 """
 
 from __future__ import annotations
@@ -127,14 +128,9 @@ def compile_rhs(eom: Mapping[str, PhaseExpr], variables: Sequence[str],
                 registry: Optional[AtomRegistry] = None,
                 params: Optional[Mapping[str, float]] = None,
                 time_var: str = "t") -> Callable:
-    """Compile v̇ = rhs(v) into ``f(t, y) -> ndarray``."""
-    fn = lower([eom[v] for v in variables], variables, registry, params,
-               time_var)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.asarray(fn(t, y), dtype=float)
-
-    return rhs
+    """Compile v̇ = rhs(v) into ``f(t, y) -> tuple``."""
+    return lower([eom[v] for v in variables], variables, registry, params,
+                 time_var)
 
 
 def compile_scalar(expression: PhaseExpr, variables: Sequence[str],
@@ -144,7 +140,7 @@ def compile_scalar(expression: PhaseExpr, variables: Sequence[str],
     """Compile one expression into ``f(t, y) -> float``."""
     fn = lower([expression], variables, registry, params, time_var)
 
-    def scalar(t: float, y: np.ndarray) -> float:
+    def scalar(t: float, y: Sequence[float]) -> float:
         return float(fn(t, y)[0])
 
     return scalar
@@ -170,23 +166,37 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
          22 / 525, -1 / 40)
 
 
+def _combination(coeffs, base):
+    """``f(y, h, k)`` giving y + h·Σ coeffs[i]·k[i] per component, or h·Σ
+    without ``base``: one comprehension compiled from the tableau, with the
+    sum written out left to right from 0.0, which fixes its rounding."""
+    ks = ", ".join(f"k{i}" for i in range(len(coeffs)))
+    terms = "".join(f" + {a!r} * k{i}" for i, a in enumerate(coeffs))
+    value = f"{'yj + ' if base else ''}h * (0.0{terms})"
+    return eval(f"lambda y, h, k: tuple({value} for yj, {ks} in zip(y, *k))")
+
+
+_DP_STAGES = tuple(_combination(a, True) for a in _DP_A[1:])
+_DP_ERR = _combination(_DP_E, False)
+
+
+def _axpy(y, h, v):
+    return tuple(yj + h * vj for yj, vj in zip(y, v))
+
+
 def _dp_step(rhs, t, y, h, k1):
     k = [k1]
-    for i in range(1, 7):
-        acc = np.zeros_like(y)
-        for a, ki in zip(_DP_A[i], k):
-            acc += a * ki
-        k.append(rhs(t + _DP_C[i] * h, y + h * acc))
-    y5 = y + h * sum(a * ki for a, ki in zip(_DP_A[6], k[:6]))
-    # k[6] was evaluated at (t+h, y5): first-same-as-last
-    err = h * sum(d * ki for d, ki in zip(_DP_E, k))
-    return y5, err, k[6]
+    for c, stage_of in zip(_DP_C[1:], _DP_STAGES):
+        stage = stage_of(y, h, k)
+        k.append(rhs(t + c * h, stage))
+    # the last stage is y5 and k[6] its slope: first-same-as-last
+    return stage, _DP_ERR(y, h, k), k[6]
 
 
 def _integrate_rk45(rhs, y0, grid, policy, observer=None):
-    states = [np.array(y0, dtype=float)]
+    states = [y0]
     t = float(grid[0])
-    y = states[0]
+    y = y0
     if observer is not None:
         observer(t, y)
     try:
@@ -213,13 +223,15 @@ def _integrate_rk45(rhs, y0, grid, policy, observer=None):
                 raise NonFiniteStateError(
                     f"right-hand side undefined near t={t}"
                 )
-            if not np.all(np.isfinite(y_new)):
+            if not all(map(math.isfinite, y_new)):
                 raise NonFiniteStateError(f"state became non-finite near t={t}")
-            scale = policy.abs_tol + policy.rel_tol * np.maximum(
-                np.abs(y), np.abs(y_new)
-            )
-            # error per unit step: global drift stays near tol x span
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            # RMS of err / scale, summed in order; error per unit step:
+            # global drift stays near tol x span
+            total = 0.0
+            for e, a, b in zip(err, y, y_new):
+                q = e / (policy.abs_tol + policy.rel_tol * max(abs(a), abs(b)))
+                total += q * q
+            err_norm = math.sqrt(total / len(y))
             if err_norm <= h:
                 accepted += 1
                 h_min, h_max = min(h_min, h), max(h_max, h)
@@ -235,7 +247,7 @@ def _integrate_rk45(rhs, y0, grid, policy, observer=None):
                 factor = max(0.2, 0.9 * (h / err_norm) ** 0.25)
             h *= factor
         t = target
-        states.append(y.copy())
+        states.append(y)
         if observer is not None:
             observer(t, y)
     stats = {
@@ -249,8 +261,8 @@ def _integrate_rk45(rhs, y0, grid, policy, observer=None):
 
 
 def _integrate_rk4(rhs, y0, grid, policy, observer=None):
-    states = [np.array(y0, dtype=float)]
-    y = states[0]
+    states = [y0]
+    y = y0
     total = 0
     h_min, h_max = math.inf, 0.0
     if observer is not None:
@@ -265,14 +277,15 @@ def _integrate_rk4(rhs, y0, grid, policy, observer=None):
             t = a
             for _ in range(n):
                 k1 = rhs(t, y)
-                k2 = rhs(t + h / 2, y + h / 2 * k1)
-                k3 = rhs(t + h / 2, y + h / 2 * k2)
-                k4 = rhs(t + h, y + h * k3)
-                y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+                k2 = rhs(t + h / 2, _axpy(y, h / 2, k1))
+                k3 = rhs(t + h / 2, _axpy(y, h / 2, k2))
+                k4 = rhs(t + h, _axpy(y, h, k3))
+                y = _axpy(y, h / 6, [p + 2 * q + 2 * r + s
+                                     for p, q, r, s in zip(k1, k2, k3, k4)])
                 t += h
-            if not np.all(np.isfinite(y)):
+            if not all(map(math.isfinite, y)):
                 raise NonFiniteStateError(f"state became non-finite near t={b}")
-            states.append(y.copy())
+            states.append(y)
             if observer is not None:
                 observer(b, y)
     except (ZeroDivisionError, OverflowError):
@@ -317,7 +330,7 @@ def integrate(eom: Mapping[str, PhaseExpr], init: Mapping[str, float],
             f"steps over [{grid[0]:g}, {grid[-1]:g}]"
         )
     rhs = compile_rhs(eom, variables, registry, params, time_var=param_name)
-    y0 = np.array([float(init[v]) for v in variables])
+    y0 = tuple(float(init[v]) for v in variables)
     stepper = _integrate_rk45 if policy.method == "rk45" else _integrate_rk4
     states, stats = stepper(rhs, y0, grid, policy, observer)
     table = np.array(states)
@@ -400,7 +413,7 @@ def integrate_extended(gauge: GaugeSpec, init: Mapping[str, float],
         )
     phi_fn = compile_scalar(phi, variables, registry, run_params,
                             time_var="tau")
-    y0 = np.array([float(init[v]) for v in variables])
+    y0 = tuple(float(init[v]) for v in variables)
     phi0 = phi_fn(tau1, y0)
     if abs(phi0) > surface_tol:
         raise PreconditionError(
@@ -438,16 +451,13 @@ def constraint_drift(traj: Trajectory, cs: ConstraintSet,
 
     variables = list(traj.series)
     out: Dict[str, np.ndarray] = {}
-    table = np.column_stack([traj.series[v] for v in variables]) \
-        if variables else np.zeros((traj.grid.size, 0))
+    rows = np.column_stack([traj.series[v] for v in variables]).tolist() \
+        if variables else [()] * traj.grid.size
+    times = traj.grid.tolist()
     for name, expression in named:
         fn = compile_scalar(expression, variables, registry, params,
                             time_var=traj.param_name)
-        values = np.array([
-            abs(fn(float(traj.grid[i]), table[i]))
-            for i in range(traj.grid.size)
-        ])
-        out[name] = values
+        out[name] = np.array([abs(fn(t, y)) for t, y in zip(times, rows)])
     return out
 
 

@@ -14,6 +14,7 @@ on one grid with no interpolation error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
@@ -115,7 +116,7 @@ class _PositivityWatch:
         self.floor, self.index, self.last = floor, index, start
 
     def __call__(self, t, y):
-        if not np.isfinite(y[self.index]) or y[self.index] <= self.floor:
+        if not math.isfinite(y[self.index]) or y[self.index] <= self.floor:
             raise ErmakovBlowupError(self.last)
         self.last = t
 

@@ -1,6 +1,9 @@
 """End-to-end runs of the command line front end, in process."""
 
+import contextlib
+import hashlib
 import importlib
+import io
 import json
 import os
 import shutil
@@ -108,6 +111,48 @@ def test_analyze_output_is_byte_identical_to_goldens(tmp_path, capsys, name):
     assert out == (GOLDENS / f"{name}.analyze.txt").read_text()
     assert ((tmp_path / "analysis.json").read_bytes()
             == (GOLDENS / f"{name}.analysis.json").read_bytes())
+
+
+# simulate and invariant on the shipped scenario configs, plus rk4 runs of
+# the oscillator; the digests were recorded before the steppers moved from
+# numpy rows to float tuples, and pin the arithmetic order of both methods.
+# At max_step 0.01 the extended rk4 run leaves the constraint surface (exit
+# 1, |phi| printed to 16 digits), so a finer step pins simulate's CSVs.
+RK4_STEPS = {"oscillator_rk4": 0.01, "oscillator_rk4_fine": 0.001}
+SCENARIO_DIGESTS = GOLDENS / "scenario_digests.json"
+SCENARIO_CASES = [
+    (command, name)
+    for name in ("oscillator", "equilibrium", "free_particle", "invariant",
+                 "oscillator_rk4")
+    for command in ("simulate", "invariant")
+] + [("simulate", "oscillator_rk4_fine")]
+
+
+def scenario_record(tmp_path, command, name):
+    """Exit code and SHA-256 of stdout and of every CSV of one run."""
+    if name in RK4_STEPS:
+        cfg = yaml.safe_load((CONFIGS / "oscillator.yaml").read_text())
+        cfg["integrator"] = {"method": "rk4", "max_step": RK4_STEPS[name]}
+        config = write_config(tmp_path, f"{name}.yaml", cfg)
+    else:
+        config = CONFIGS / f"{name}.yaml"
+    out_dir = tmp_path / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([command, str(config), "--out", str(out_dir)])
+    return {
+        "exit": code,
+        "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+        "csv": {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out_dir.glob("*.csv"))},
+    }
+
+
+@pytest.mark.parametrize("command,name", SCENARIO_CASES)
+def test_scenario_outputs_are_byte_identical_to_goldens(tmp_path, command,
+                                                        name):
+    expected = json.loads(SCENARIO_DIGESTS.read_text())[f"{command} {name}"]
+    assert scenario_record(tmp_path, command, name) == expected
 
 
 def test_jobs_write_per_config_subdirs(tmp_path, capsys):
@@ -432,6 +477,22 @@ def test_invariant_run(tmp_path, capsys):
     assert summary["ode_residual"] < 1e-6
     header = (tmp_path / "invariant.csv").read_text().splitlines()[0]
     assert header == "t,rho,rho_dot,I"
+
+
+def test_invariant_summary_reports_integrator_stats(tmp_path, capsys,
+                                                   simulate_run):
+    code, _ = run_cli(capsys, "invariant", str(CONFIGS / "invariant.yaml"),
+                      "--out", str(tmp_path))
+    assert code == 0
+    stats = json.loads((tmp_path / "invariant.json").read_text())["stats"]
+    # the same report simulate.json gives for each of its runs
+    _, _, simulate_dir = simulate_run
+    simulate = json.loads((simulate_dir / "simulate.json").read_text())
+    assert set(stats) == set(simulate["original_stats"])
+    assert stats["steps"] > 0
+    assert stats["rejected"] >= 0
+    assert 0.0 < stats["min_step"] <= stats["max_step"] <= 0.05
+    assert 0.0 < stats["max_error_per_unit_step"] <= 1.0
 
 
 def test_undamped_equilibrium_is_machine_level(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Integration of symbolic equations of motion and the extended system."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from phasekit import (
     ConstraintSet,
     ConstraintViolationError,
+    DampingFactorProfile,
     DynamicsError,
+    ExprProfile,
     GaugeSpec,
     IntegratorPolicy,
     NonFiniteStateError,
@@ -23,11 +27,13 @@ from phasekit import (
     integrate_extended,
     num,
     original_equations,
+    oscillator_registry,
     parse,
     simplify,
     sym,
     write_csv,
 )
+from phasekit.dynamics import compile_rhs
 
 from _support import constant_registry, damped_oracle
 
@@ -122,9 +128,46 @@ def test_rk4_accuracy_scales_with_step():
     assert errs[1] < errs[0] / 8.0
 
 
+def test_rk45_agrees_with_scipy_dop853_on_linear_in_t_profiles():
+    # linear-in-t w and eta: the damping factor is DampingFactorProfile's
+    # integrated spline and there is no closed form, so an independent
+    # stepper is the oracle; both run the same lowered right-hand side
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    eta = ExprProfile(parse("0.1 + 0.02*t", ["t"]))
+    registry = oscillator_registry(
+        friction_profile=eta,
+        frequency_profile=ExprProfile(parse("2 + 0.1*t", ["t"])),
+        damping_profile=DampingFactorProfile(eta, (0.0, 10.0)),
+    )
+    _, eom = original_equations(registry)
+    init = {"x1": 0.8, "x2": -0.5, "p1": -0.2, "p2": 0.6}
+    grid = np.linspace(0.0, 10.0, 201)
+    traj = integrate(eom, init, grid, TIGHT, registry, {"m": 1.0})
+    rhs = compile_rhs(eom, list(eom), registry, {"m": 1.0})
+    ref = solve_ivp(lambda t, y: rhs(t, y.tolist()), (0.0, 10.0),
+                    [init[v] for v in eom], method="DOP853", t_eval=grid,
+                    rtol=1e-12, atol=1e-12)
+    assert ref.success
+    for row, v in zip(ref.y, eom):
+        assert float(np.max(np.abs(traj.series[v] - row))) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_pole_in_the_rhs_ends_cleanly(method):
+    # x' = 1/x at x = 0: Python floats raise at the pole, where numpy
+    # scalars warned and returned inf
+    eom = {"x": parse("1/x", ["x"])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteStateError,
+                           match="right-hand side undefined"):
+            integrate(eom, {"x": 0.0}, (0.0, 1.0),
+                      IntegratorPolicy(method=method), points=11)
+
 
 def test_missing_initial_variable():
     registry = constant_registry()
