@@ -21,10 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import _poly
-from ._poly import Rat
 from .expr import (
     Chart,
     NonFiniteError,
@@ -34,16 +31,15 @@ from .expr import (
     _diff,
     _finite,
     _subst,
+    antiderivative,
     diff,
     free_symbols,
-    from_rat,
     is_zero_expr,
     lower,
     num,
     parse,
     simplify,
     sym,
-    to_rat,
 )
 
 
@@ -170,18 +166,6 @@ class Transform:
 # completion
 # --------------------------------------------------------------------------
 
-def _integrate_in(expression: PhaseExpr, variable: str
-                  ) -> Optional[PhaseExpr]:
-    """Exact antiderivative in ``variable`` when the denominator is free of
-    it; None otherwise."""
-    r = to_rat(expression)
-    key = (0, variable)
-    for mono in r.den:
-        if any(k == key for k, _ in mono):
-            return None
-    return from_rat(Rat(_poly.integrate_poly(r.num, key), r.den))
-
-
 def complete(spec: TransformSpec) -> Transform:
     """Derive C_i and F, returning the full six-component map."""
     q1, q2, t = sym("Q1"), sym("Q2"), sym("T")
@@ -215,7 +199,7 @@ def complete(spec: TransformSpec) -> Transform:
         integrand = simplify(integrand_raw)
         if is_zero_expr(integrand):
             continue
-        anti = _integrate_in(integrand, variable)
+        anti = antiderivative(integrand, variable)
         if anti is not None:
             base = simplify(base + inv_bt * anti)
         else:
@@ -303,6 +287,7 @@ class _Lowered:
 
 def _quadrature(term: QuadTerm, integrand, y: List[float]) -> float:
     """∫ integrand ds from ``term.lower`` to the state's ``term.var``."""
+    from scipy.integrate import quad
     slot = NEW_VARS.index(term.var)
     inner = list(y)
 

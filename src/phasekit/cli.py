@@ -275,7 +275,7 @@ def scenario_from_config(cfg: Mapping, label: str,
 
 def _profile_from(section, where: str) -> Profile:
     if isinstance(section, (int, float)) and not isinstance(section, bool):
-        return ConstantProfile(float(section))
+        return ConstantProfile(_number({where: section}, where, None, None))
     if not isinstance(section, Mapping) or len(section) != 1:
         raise ConfigError(
             f"{where}: expected a number or one of "
@@ -283,10 +283,7 @@ def _profile_from(section, where: str) -> Profile:
         )
     (kind, value), = section.items()
     if kind == "constant":
-        try:
-            return ConstantProfile(float(value))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}.constant: expected a number")
+        return ConstantProfile(_number(section, kind, None, where))
     if kind == "expression":
         try:
             return ExprProfile(parse(str(value), ("t",)), var="t")
@@ -317,16 +314,10 @@ def build_registry(scenario: Scenario,
         damping = (ConstantProfile(1.0) if rate == 0.0
                    else ExponentialProfile(rate=-rate))
     else:
-        lo, hi = float(span[0]), float(span[1])
-        pad = 0.01 * (hi - lo) + 1e-6
-        # the friction is sampled over the padded window: stay inside a table
-        ends = (eta.span if isinstance(eta, TabulatedProfile)
-                else (-math.inf, math.inf))
-        if not ends[0] <= 0.0 <= ends[1]:
-            raise ConfigError(f"profiles.eta_fric: table must cover t = 0, "
-                              f"spans [{ends[0]}, {ends[1]}]")
-        damping = DampingFactorProfile(eta, (min(lo, max(lo - pad, ends[0])),
-                                             max(hi, min(hi + pad, ends[1]))))
+        try:
+            damping = DampingFactorProfile(eta, span)
+        except ValueError as exc:
+            raise ConfigError(f"profiles.eta_fric: {exc}")
     return oscillator_registry(
         friction_profile=eta, frequency_profile=omega,
         damping_profile=damping,

@@ -21,7 +21,6 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import _poly
 from ._poly import Rat
@@ -385,7 +384,7 @@ def _diff(e: PhaseExpr, v, reg) -> PhaseExpr:
         return Add(tuple(terms))
     if isinstance(e, Pow):
         if e.exp == 0:
-            return ZERO
+            return Mul((ZERO, e))    # zero where the base is defined
         db = _diff(e.base, v, reg)
         return Mul((Num(Fraction(e.exp)), Pow(e.base, e.exp - 1), db))
     if isinstance(e, Div):
@@ -403,6 +402,20 @@ def _atom_derivative(a: Atom, reg) -> PhaseExpr:
     if rule is not None and a.order == 0:
         return rule(a.arg)
     return Atom(a.name, a.order + 1, a.arg)
+
+
+def antiderivative(e: PhaseExpr, var: str) -> Optional[PhaseExpr]:
+    """Exact antiderivative in ``var``, constant of integration zero.
+
+    None when the normal form's denominator contains ``var`` or a
+    coefficient atom is applied at ``var``: no closed form is attempted.
+    """
+    r = to_rat(e)
+    den_keys = _poly.poly_vars(r.den)
+    if (0, var) in den_keys or any(k[0] == 1 and k[3] == var
+                                   for k in _poly.poly_vars(r.num) | den_keys):
+        return None
+    return from_rat(Rat(_poly.integrate_poly(r.num, (0, var)), r.den))
 
 
 # --------------------------------------------------------------------------
@@ -480,10 +493,13 @@ class TabulatedProfile(Profile):
     """Cubic interpolation of sampled values; derivatives up to order 2."""
 
     def __init__(self, times, values):
+        from scipy.interpolate import CubicSpline
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 4:
             raise ValueError("need matching 1-d arrays with at least 4 samples")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ValueError("times and values must be finite")
         self.span = (float(times[0]), float(times[-1]))
         self._splines = [CubicSpline(times, values)]
 
@@ -506,7 +522,8 @@ class ExprProfile(Profile):
                  registry: "AtomRegistry | None" = None):
         self.var = var
         self.registry = registry
-        self._last = simplify(expression)
+        self.expression = simplify(expression)
+        self._last = self.expression
         self._lowered: List[Callable] = []   # one per derivative order
 
     def value(self, order: int, t: float) -> float:
@@ -522,27 +539,52 @@ class ExprProfile(Profile):
 class DampingFactorProfile(Profile):
     """f(t) = exp(-int_0^t eta) for a friction profile eta(t).
 
-    The accumulated exponent is a spline antiderivative of eta sampled on a
-    fine grid, so use this only when no closed form exists (constant eta has
-    the exact ``ExponentialProfile``).
+    A constant eta, or an expression whose normal form has a denominator
+    free of t, has the exact antiderivative F (``antiderivative``), lowered
+    once: f(t) = exp(-(F(t) - F(0))) at every t, and ``span`` is not used.
+    Any other eta (a table, or t in the denominator) has no closed form:
+    the exponent is then a cubic-spline antiderivative of eta sampled over
+    ``span`` widened by 1 % + 1e-6 and t = 0, clamped to a table's own
+    span, which must cover t = 0.
     """
 
-    def __init__(self, friction: Profile, span, samples: int = 4097):
-        lo = min(0.0, float(span[0]))
-        hi = max(0.0, float(span[1]))
+    def __init__(self, friction: Profile, span=None, samples: int = 4097):
+        self.friction = friction
+        eta = (ExprProfile(num(friction.value(0, 0.0)))
+               if isinstance(friction, ConstantProfile) else friction)
+        exact = (antiderivative(eta.expression, eta.var)
+                 if isinstance(eta, ExprProfile) else None)
+        if exact is not None:
+            self._exponent = lower([exact], (), eta.registry,
+                                   time_var=eta.var)
+            self._offset = self._exponent(0.0, ())[0]
+            self._lo, self._hi = -math.inf, math.inf
+            return
+        if span is None:
+            raise ValueError("a friction with no closed-form integral "
+                             "needs a span")
+        lo, hi = float(span[0]), float(span[1])
         if hi <= lo:
             raise ValueError("empty span")
-        self.friction = friction
+        ends = getattr(friction, "span", (-math.inf, math.inf))
+        if not ends[0] <= 0.0 <= ends[1]:
+            raise ValueError(f"table must cover t = 0, "
+                             f"spans [{ends[0]}, {ends[1]}]")
+        pad = 0.01 * (hi - lo) + 1e-6
+        lo = min(0.0, lo, max(lo - pad, ends[0]))
+        hi = max(0.0, hi, min(hi + pad, ends[1]))
+        from scipy.interpolate import CubicSpline
         ts = np.linspace(lo, hi, samples)
-        eta = np.array([friction.value(0, float(t)) for t in ts])
-        self._accumulated = CubicSpline(ts, eta).antiderivative()
-        self._offset = self._accumulated(0.0)
+        values = [friction.value(0, float(t)) for t in ts]
+        accumulated = CubicSpline(ts, values).antiderivative()
+        self._exponent = lambda t, y: (float(accumulated(t)),)
+        self._offset = self._exponent(0.0, ())[0]
         self._lo, self._hi = lo, hi
 
     def value(self, order: int, t: float) -> float:
         if t < self._lo - 1e-12 or t > self._hi + 1e-12:
             raise EvalError(f"time {t} outside damping-factor span")
-        f = math.exp(-float(self._accumulated(t) - self._offset))
+        f = math.exp(self._offset - self._exponent(t, ())[0])
         if order == 0:
             return f
         eta = self.friction.value(0, t)
@@ -763,6 +805,8 @@ EXTENDED_CHART = Chart(
 # --------------------------------------------------------------------------
 
 _OPS = set("+-*/^()'")
+# ASCII only: str.isdigit also takes '²', which Fraction refuses
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str):
@@ -773,10 +817,10 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import phasekit
 from phasekit import cli, equivalent, parse
@@ -396,6 +398,115 @@ def test_friction_table_must_cover_time_zero(tmp_path, capsys):
         assert code == 2, (command, out)
         assert out.strip() == ("error: profiles.eta_fric: table must cover "
                                "t = 0, spans [2.0, 12.0]")
+
+
+# scipy is imported only where a spline or a quadrature is built
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import phasekit, phasekit.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(phasekit.cli.main(argv))
+print(json.dumps([codes, sorted(m for m in ("scipy.integrate",
+                  "scipy.interpolate") if m in sys.modules)]))
+"""
+
+
+def scipy_loaded_after(*calls):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(phasekit.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH"),
+    ]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+                           json.dumps(calls)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_scipy_stays_off_the_import_path_for_expression_friction(tmp_path):
+    assert scipy_loaded_after() == [[], []]
+    cfg = short_oscillator(t_end=1.0, points=11)
+    cfg["profiles"]["eta_fric"] = {"expression": "0.1 + 0.02*t"}
+    path = str(write_config(tmp_path, "linear.yaml", cfg))
+    calls = [[command, path, "--out", str(tmp_path / command)]
+             for command in ("analyze", "simulate", "invariant")]
+    assert scipy_loaded_after(*calls) == [[0, 0, 0], []]
+
+
+def test_scipy_loads_for_a_friction_table_and_a_quadrature(tmp_path):
+    cfg = short_oscillator(t_end=1.0, points=11)
+    cfg["profiles"]["eta_fric"] = {"table": {
+        "times": [0.0, 0.25, 0.5, 0.75, 1.0], "values": [0.1] * 5}}
+    table = str(write_config(tmp_path, "table.yaml", cfg))
+    assert scipy_loaded_after(["simulate", table, "--out", str(tmp_path)]) \
+        == [[0], ["scipy.interpolate"]]
+    # d1 rational in Q1: p_tau carries a quadrature term
+    spec = str(write_config(tmp_path, "quad.yaml", {
+        "transform": {"a1": "Q1", "a2": "Q2", "b": "T",
+                      "d1": "T/(1 + Q1^2)"},
+        "points": 8}))
+    assert scipy_loaded_after(["transform-check", spec,
+                               "--out", str(tmp_path)]) \
+        == [[0], ["scipy.integrate"]]
+
+
+# ---------------------------------------------------------------------------
+# property contract: any omega/eta_fric section ends in exit code 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                 st.lists(st.integers(-2, 2), max_size=3),
+                 st.dictionaries(st.sampled_from(["times", "values", "x"]),
+                                 st.integers(-2, 2), max_size=2))
+numbers = st.one_of(st.integers(-3, 3),
+                    st.floats(-3.0, 3.0),
+                    st.sampled_from([float("nan"), float("inf"), -1e308]))
+expressions = st.one_of(
+    st.sampled_from([
+        "0.1 + 0.02*t", "2 - t", "t^3 - t", "1/(1 + t)", "t/(t^2 + 1)",
+        "1/t", "1/(t - 3)", "1/(t - 0.25)", "t^400", "1e300*t^9", "1/(t - t)",
+        "(", "t +", "x", "w(t)", "2**t", "", "t^-1",
+    ]),
+    st.builds(lambda a, b, k: f"{a} + {b}*t^{k}", numbers, numbers,
+              st.integers(0, 4)),
+)
+times = st.lists(st.floats(-1.0, 2.0), min_size=0, max_size=6)
+tables = st.one_of(
+    st.builds(lambda ts, vs: {"times": ts, "values": vs}, times,
+              st.lists(numbers, min_size=0, max_size=6)),
+    times.map(lambda ts: {"times": sorted(ts), "values": [0.1] * len(ts)}),
+    st.builds(lambda ts: {"times": ts}, times),
+    junk,
+)
+profile_sections = st.one_of(
+    numbers, junk,
+    st.builds(lambda v: {"constant": v}, st.one_of(numbers, junk)),
+    st.builds(lambda e: {"expression": e}, st.one_of(expressions, junk)),
+    st.builds(lambda t: {"table": t}, tables),
+    st.just({"constant": 1.0, "expression": "t"}),
+)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(omega=profile_sections, eta=profile_sections)
+def test_profile_sections_end_in_an_exit_code(tmp_path_factory, omega, eta):
+    cfg = short_oscillator(t_end=0.5, points=3, method="rk45",
+                           max_step=0.1)
+    cfg["profiles"] = {"omega": omega, "eta_fric": eta}
+    work = tmp_path_factory.mktemp("profiles")
+    path = write_config(work, "profiles.yaml", cfg)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["simulate", str(path), "--out", str(work),
+                         "--points", "3", "--jobs", "1"])
+    text = out.getvalue().strip()
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert text.startswith("error: ") and "\n" not in text
+    for summary in work.glob("*.json"):
+        json.loads(summary.read_text())
 
 
 # ---------------------------------------------------------------------------

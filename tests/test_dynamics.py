@@ -129,15 +129,15 @@ def test_rk4_accuracy_scales_with_step():
 
 
 def test_rk45_agrees_with_scipy_dop853_on_linear_in_t_profiles():
-    # linear-in-t w and eta: the damping factor is DampingFactorProfile's
-    # integrated spline and there is no closed form, so an independent
+    # linear-in-t w and eta: the damping factor is exact (eta integrates in
+    # closed form), but the trajectory has no closed form, so an independent
     # stepper is the oracle; both run the same lowered right-hand side
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     eta = ExprProfile(parse("0.1 + 0.02*t", ["t"]))
     registry = oscillator_registry(
         friction_profile=eta,
         frequency_profile=ExprProfile(parse("2 + 0.1*t", ["t"])),
-        damping_profile=DampingFactorProfile(eta, (0.0, 10.0)),
+        damping_profile=DampingFactorProfile(eta),
     )
     _, eom = original_equations(registry)
     init = {"x1": 0.8, "x2": -0.5, "p1": -0.2, "p2": 0.6}

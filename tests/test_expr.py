@@ -21,6 +21,7 @@ from phasekit import (
     ParseError,
     TabulatedProfile,
     UnboundVariableError,
+    antiderivative,
     atom,
     diff,
     equivalent,
@@ -392,6 +393,46 @@ def test_damping_factor_matches_closed_form():
         assert p.value(0, t) == pytest.approx(math.exp(-eta * t), rel=1e-9)
         assert p.value(1, t) == pytest.approx(
             -eta * math.exp(-eta * t), rel=1e-7)
+
+
+def test_damping_factor_is_exact_for_polynomial_friction():
+    # eta = 0.1 + 0.02 t integrates in closed form: no span, no spline
+    p = DampingFactorProfile(ExprProfile(parse("0.1 + 0.02*t", ["t"])))
+    for t in np.linspace(0.0, 10.0, 41):
+        f = math.exp(-(0.1 * t + 0.01 * t * t))
+        eta = 0.1 + 0.02 * t
+        for order, want in enumerate((f, -eta * f, (eta * eta - 0.02) * f)):
+            assert p.value(order, t) == pytest.approx(want, rel=1e-12)
+
+
+def test_damping_factor_spline_without_closed_form():
+    # t in the denominator: f = exp(-ln(1 + t)) = 1/(1 + t) by spline
+    eta = ExprProfile(parse("1/(1 + t)", ["t"]))
+    p = DampingFactorProfile(eta, (0.0, 10.0))
+    for t in np.linspace(0.0, 10.0, 41):
+        assert abs(p.value(0, t) - 1.0 / (1.0 + t)) < 1e-8
+    with pytest.raises(ValueError, match="needs a span"):
+        DampingFactorProfile(eta)
+    # a table takes the same route and stays inside its own span
+    ts = np.linspace(0.0, 10.0, 11)
+    table = DampingFactorProfile(TabulatedProfile(ts, 0.1 + 0.02 * ts),
+                                 (0.0, 10.0))
+    assert table.value(0, 7.3) == pytest.approx(
+        math.exp(-(0.73 + 0.01 * 7.3 ** 2)), rel=1e-9)
+    with pytest.raises(EvalError, match="outside damping-factor span"):
+        table.value(0, 10.5)
+
+
+def test_antiderivative_only_when_the_denominator_is_free_of_the_variable():
+    e = parse("3*t^2 + x*t/(1 + y)", ["t", "x", "y"])
+    got = antiderivative(e, "t")
+    assert equivalent(got, parse("t^3 + x*t^2/(2*(1 + y))", ["t", "x", "y"]))
+    assert equivalent(diff(got, "t"), e)
+    assert antiderivative(parse("1/(1 + t)", ["t"]), "t") is None
+    reg = constant_registry()
+    assert antiderivative(parse("w(t)", ["t"], reg), "t") is None
+    assert equivalent(antiderivative(parse("w(s)", ["t", "s"], reg), "t"),
+                      parse("t*w(s)", ["t", "s"], reg))
 
 
 def test_registry_rejects_unknown_profile_request():

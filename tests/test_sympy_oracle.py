@@ -1,8 +1,11 @@
 """Exact normal forms checked against sympy, an independent algebra system."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,3 +120,96 @@ def test_simplify_matches_sympy_cancel(e):
     except ExprError:
         return      # the raw tree divides by zero somewhere
     assert_reduced_form_of(r, sympy_tree(e))
+
+
+# ---------------------------------------------------------------------------
+# criterion-1 goldens of configs/oscillator.yaml, derived again in sympy
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+F, W = sympy.Function("f"), sympy.Function("w")
+NAMES_1 = ("m t tau x1 x2 x1_dot x2_dot x1_tau x2_tau t_tau p1_tau p2_tau "
+           "p_tau x1_tau_dot x2_tau_dot t_tau_dot")
+S = dict(zip(NAMES_1.split(), sympy.symbols(NAMES_1)))
+
+
+def golden_expr(text):
+    """A rendered golden string ('^' powers, atoms f(.) and w(.)) in sympy."""
+    from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
+                                            standard_transformations)
+    return parse_expr(text, local_dict={**S, "f": F, "w": W},
+                      transformations=standard_transformations
+                      + (convert_xor,))
+
+
+def same(ours, text):
+    return sympy.simplify(ours - golden_expr(text)) == 0
+
+
+def caldirola_kanai(q, qdot, time):
+    """L = (m/2f)|q'|^2 - (m w^2/2f)|q|^2 with f = exp(-int eta)."""
+    m = S["m"]
+    return (m / (2 * F(time)) * sum(u ** 2 for u in qdot)
+            - m * W(time) ** 2 / (2 * F(time)) * sum(x ** 2 for x in q))
+
+
+def test_criterion_1_goldens_match_a_sympy_derivation():
+    golden = json.loads(
+        (ROOT / "tests" / "goldens" / "oscillator.analysis.json").read_text())
+    cfg = yaml.safe_load((ROOT / "configs" / "oscillator.yaml").read_text())
+
+    # original chart: Hessian in (x1_dot, x2_dot)
+    velocities = (S["x1_dot"], S["x2_dot"])
+    lag = caldirola_kanai((S["x1"], S["x2"]), velocities, S["t"])
+    assert same(sympy.hessian(lag, velocities).det(),
+                golden["original"]["hessian_det"])
+
+    # extended chart: t becomes t_tau(tau), L_ext = t_tau' L(q, q'/t_tau', t)
+    q = (S["x1_tau"], S["x2_tau"])
+    qdot = (S["x1_tau_dot"], S["x2_tau_dot"])
+    td = S["t_tau_dot"]
+    lag_ext = td * caldirola_kanai(q, [u / td for u in qdot], S["t_tau"])
+    assert same(sympy.hessian(lag_ext, (*qdot, td)).det(),
+                golden["extended"]["hessian_det"])
+
+    # primary constraint: p_tau - dL/dt_tau' with the velocity ratios
+    # q'/t_tau' eliminated through p_i = dL/dq_i'
+    ratios = sympy.symbols("r1 r2")
+    on_ratios = {u: r * td for u, r in zip(qdot, ratios)}
+    momenta = (S["p1_tau"], S["p2_tau"])
+    solved = sympy.solve([sympy.diff(lag_ext, u).subs(on_ratios) - p
+                          for u, p in zip(qdot, momenta)], ratios, dict=True)
+    p_t = sympy.diff(lag_ext, td).subs(on_ratios).subs(solved[0])
+    phi0 = S["p_tau"] - sympy.simplify(p_t)
+    assert same(phi0, golden["extended"]["primaries"][0])
+
+    # gauge t_tau = t0 + (t1 - t0)(tau - tau0)/(tau1 - tau0)
+    (tau0, tau1), (t0, t1) = (
+        [sympy.Rational(v) for v in cfg["gauge"][k]] for k in ("tau", "t"))
+    chi = S["t_tau"] - (t0 + (t1 - t0) / (tau1 - tau0) * (S["tau"] - tau0))
+    assert same(chi, golden["gauge"]["eta_gauge"])
+
+    pairs = ((S["x1_tau"], S["p1_tau"]), (S["x2_tau"], S["p2_tau"]),
+             (S["t_tau"], S["p_tau"]))
+
+    def poisson(a, b):
+        return sum(sympy.diff(a, x) * sympy.diff(b, p)
+                   - sympy.diff(a, p) * sympy.diff(b, x) for x, p in pairs)
+
+    phis = (phi0, chi)
+    delta = sympy.Matrix(2, 2, lambda i, j: poisson(phis[i], phis[j]))
+    c_inv = delta.inv()
+    for ours, rows in ((delta, golden["gauge"]["delta"]),
+                       (c_inv, golden["gauge"]["c_inverse"])):
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(golden_expr(row)):
+                assert sympy.simplify(ours[i, j] - entry) == 0
+
+    brackets = golden["gauge"]["dirac_brackets"]
+    assert len(brackets) == 6
+    for key, text in brackets.items():
+        a, b = (S[name] for name in key.strip("{}").split(", "))
+        dirac = poisson(a, b) - sum(
+            poisson(a, phis[i]) * c_inv[i, j] * poisson(phis[j], b)
+            for i in range(2) for j in range(2))
+        assert same(dirac, text), key
