@@ -12,7 +12,7 @@ equal dict-for-dict.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 Mono = Tuple[Tuple[tuple, int], ...]
 Poly = Dict[Mono, Fraction]
@@ -370,9 +370,6 @@ class Rat:
 
     def const_value(self) -> Fraction:
         return const_value(self.num) / const_value(self.den)
-
-    def is_polynomial(self) -> bool:
-        return is_const(self.den)
 
     def __eq__(self, other):
         return (

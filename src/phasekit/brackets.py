@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,8 +221,8 @@ def _newton_project(phi_fns, grad_fns, slots, values) -> bool:
 
 
 def _effectively_nonzero(bracket: PhaseExpr,
-                         surface: Tuple[tuple, Sequence[Sequence[float]]],
-                         threshold: float) -> bool:
+                         surface: Tuple[tuple, Sequence[Sequence[float]]]
+                         ) -> bool:
     if is_zero_expr(bracket):
         return False
     if is_const_expr(bracket):
@@ -231,7 +231,7 @@ def _effectively_nonzero(bracket: PhaseExpr,
     fn = lower([bracket], inputs, time_var=None)
     for values in points:
         try:
-            if abs(fn(0.0, values)[0]) > threshold:
+            if abs(fn(0.0, values)[0]) > 1e-10:
                 return True
         except ZeroDivisionError:
             # a pole is as nonzero as it gets
@@ -241,9 +241,8 @@ def _effectively_nonzero(bracket: PhaseExpr,
 
 def classify_constraints(constraints: Sequence[PhaseExpr], chart: Chart,
                          registry: Optional[AtomRegistry] = None,
-                         values_hint: Optional[Mapping[str, float]] = None,
-                         points: int = 16, threshold: float = 1e-10,
-                         seed: int = 20260817) -> ConstraintClassification:
+                         values_hint: Optional[Mapping[str, float]] = None
+                         ) -> ConstraintClassification:
     """Split constraints into first and second class.
 
     A constraint is second-class when some bracket with another constraint
@@ -260,14 +259,14 @@ def classify_constraints(constraints: Sequence[PhaseExpr], chart: Chart,
         for i in range(n) for j in range(n)
     )
     surface = (
-        _surface_points(constraints, chart, points, seed, values_hint,
+        _surface_points(constraints, chart, 16, 20260817, values_hint,
                         extra_exprs=[table[i][j]
                                      for i in range(n) for j in range(n)])
         if need_points else ((), [])
     )
 
     weakly = [
-        [not _effectively_nonzero(table[i][j], surface, threshold)
+        [not _effectively_nonzero(table[i][j], surface)
          for j in range(n)]
         for i in range(n)
     ]
@@ -313,11 +312,11 @@ def _symbolic_inverse(delta: Sequence[Sequence[PhaseExpr]]
 
 def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
                       registry: Optional[AtomRegistry] = None,
-                      values_hint: Optional[Mapping[str, float]] = None,
-                      seed: int = 20260817) -> ConstraintMatrix:
+                      values_hint: Optional[Mapping[str, float]] = None
+                      ) -> ConstraintMatrix:
     """Build Δ_ab = {φ_a, φ_b}, classify, and invert."""
     classification = classify_constraints(
-        constraints, chart, registry, values_hint, seed=seed)
+        constraints, chart, registry, values_hint)
     delta = classification.bracket_table
     for i in range(len(delta)):
         for j in range(len(delta)):
@@ -361,22 +360,20 @@ def _dirac(grad_f: Mapping[str, Rat], grad_g: Mapping[str, Rat],
 
 
 def hamilton_eom(hamiltonian: PhaseExpr, chart: Chart,
-                 bracket: Callable = poisson,
                  cm: Optional[ConstraintMatrix] = None,
                  registry: Optional[AtomRegistry] = None,
                  params: Optional[Iterable[str]] = None
                  ) -> Dict[str, PhaseExpr]:
-    """Right-hand sides v̇ = {v, H} for every chart variable; ∇H once."""
-    if bracket is not poisson and bracket is not dirac:
-        return {v: simplify(bracket(Sym(v), hamiltonian))
-                for v in chart.variables}
-    if bracket is dirac and cm is None:
-        raise BracketError("Dirac equations of motion need a constraint matrix")
+    """Right-hand sides v̇ = {v, H} for every chart variable; ∇H once.
+
+    The brackets are Dirac brackets over the constraint matrix ``cm`` when
+    one is given, Poisson brackets otherwise.
+    """
     _check_symbols(hamiltonian, ZERO, chart, params)
     grad_h = _gradient(hamiltonian, chart, registry)
     out: Dict[str, PhaseExpr] = {}
     for v in chart.variables:
         grad_v = _gradient(Sym(v), chart, registry)
-        out[v] = from_rat(_dirac(grad_v, grad_h, cm, chart) if bracket is dirac
-                          else _bracket(grad_v, grad_h, chart))
+        out[v] = from_rat(_bracket(grad_v, grad_h, chart) if cm is None
+                          else _dirac(grad_v, grad_h, cm, chart))
     return out

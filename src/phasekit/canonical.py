@@ -26,9 +26,7 @@ from .expr import (
     Chart,
     NonFiniteError,
     PhaseExpr,
-    Sym,
     ZERO,
-    _diff,
     _finite,
     _subst,
     antiderivative,
@@ -137,9 +135,8 @@ Component = Union[PhaseExpr, ComponentMap]
 class Transform:
     """Six maps from the new chart (Q1,Q2,T,P1,P2,P_T) to the extended one.
 
-    ``c1``/``c2`` record the derived 1/A_i' for inspection; residual and
-    Jacobian checks re-derive everything from ``maps`` so that transforms
-    corrupted via ``dataclasses.replace`` are diagnosed honestly.
+    Residual and Jacobian checks derive everything from ``maps``, so that
+    transforms corrupted via ``dataclasses.replace`` are diagnosed honestly.
 
     ``chain`` is set only by ``compose``.  Composed maps are kept as raw
     substitution trees (exact canonicalization of a composition blows up),
@@ -148,9 +145,6 @@ class Transform:
     """
 
     maps: Dict[str, Component]
-    c1: PhaseExpr
-    c2: PhaseExpr
-    spec: Optional[TransformSpec] = None
     chain: Optional[Tuple["Transform", "Transform"]] = None
     # lowered evaluators, built on first use (see ``_lowered``)
     _partials: Optional[Dict] = field(default=None, init=False, repr=False,
@@ -217,7 +211,7 @@ def complete(spec: TransformSpec) -> Transform:
         "p2_tau": simplify(c2 * p2 + spec.d2),
         "p_tau": f_component,
     }
-    return Transform(maps=maps, c1=c1, c2=c2, spec=spec)
+    return Transform(maps=maps)
 
 
 # --------------------------------------------------------------------------
@@ -369,14 +363,14 @@ def symplectic_defect(tr: Transform,
     return worst
 
 
-def sample_states(tr: Transform, count: int = 32, seed: int = 20260817,
-                  low: float = -1.0, high: float = 1.0,
-                  min_denominator: float = 0.05) -> List[Dict[str, float]]:
-    """Random new-chart states avoiding near-singular denominators.
+def sample_states(tr: Transform, count: int = 32,
+                  seed: int = 20260817) -> List[Dict[str, float]]:
+    """Random new-chart states in [-1, 1]⁶ avoiding near-singular
+    denominators.
 
-    For a plain transform the gate is |dA_i/dQ_i| and |dB/dT| at the point;
-    for a composed one, every stage of the chain must pass its own gate at
-    the state it actually sees.
+    For a plain transform the gate is |dA_i/dQ_i| ≥ 0.05 and |dB/dT| ≥ 0.05
+    at the point; for a composed one, every stage of the chain must pass
+    its own gate at the state it actually sees.
     """
     rng = np.random.default_rng(seed)
     states: List[Dict[str, float]] = []
@@ -388,9 +382,9 @@ def sample_states(tr: Transform, count: int = 32, seed: int = 20260817,
                 "could not sample non-degenerate states; the spec may be "
                 "singular over the whole box"
             )
-        point = {v: float(rng.uniform(low, high)) for v in NEW_VARS}
+        point = {v: float(rng.uniform(-1.0, 1.0)) for v in NEW_VARS}
         try:
-            if not _passes_gates(tr, point, min_denominator):
+            if not _passes_gates(tr, point):
                 continue
             evaluate(tr, point)
         except (CanonicalError, NonFiniteError):
@@ -399,16 +393,15 @@ def sample_states(tr: Transform, count: int = 32, seed: int = 20260817,
     return states
 
 
-def _passes_gates(tr: Transform, point: Mapping[str, float],
-                  min_denominator: float) -> bool:
+def _passes_gates(tr: Transform, point: Mapping[str, float]) -> bool:
     if tr.chain is not None:
         outer, inner = tr.chain
-        if not _passes_gates(inner, point, min_denominator):
+        if not _passes_gates(inner, point):
             return False
         mid = _as_new_point(evaluate(inner, point))
-        return _passes_gates(outer, mid, min_denominator)
+        return _passes_gates(outer, mid)
     gates = _lowered(tr)["gates"](point)
-    return all(abs(g) >= min_denominator for g in gates)
+    return all(abs(g) >= 0.05 for g in gates)
 
 
 # --------------------------------------------------------------------------
@@ -509,8 +502,4 @@ def compose(outer: Transform, inner: Transform) -> Transform:
     maps: Dict[str, Component] = {
         name: _subst(outer.maps[name], mapping) for name in OLD_ORDER
     }
-    # raw derivatives: canonicalizing a composition is exponentially costly
-    c1 = _diff(maps["p1_tau"], "P1", None)
-    c2 = _diff(maps["p2_tau"], "P2", None)
-    return Transform(maps=maps, c1=c1, c2=c2, spec=None,
-                     chain=(outer, inner))
+    return Transform(maps=maps, chain=(outer, inner))

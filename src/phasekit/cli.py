@@ -86,15 +86,12 @@ from .dynamics import (
 from .expr import (
     AtomRegistry,
     ConstantProfile,
-    DampingFactorProfile,
     EvalError,
-    ExponentialProfile,
     ExprError,
     ExprProfile,
     ParseError,
     Profile,
     TabulatedProfile,
-    atoms_in,
     eval_expr,
     is_zero_expr,
     num,
@@ -133,8 +130,12 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One validated run description; profiles stay as raw config sections
-    so a scenario can cross process boundaries for --jobs."""
+    """One validated run description.
+
+    Profiles stay as raw config sections: the registry built from them
+    depends on the span, which each subcommand chooses, and raw sections
+    keep two scenarios read from the same config equal.
+    """
 
     label: str
     model: str
@@ -185,6 +186,16 @@ def _number(section, key, default, where, positive=False, integer=False):
     return int(value) if integer else value
 
 
+def _section(cfg: Mapping, key: str) -> Mapping:
+    """The mapping under ``key``; absent or null gives an empty one."""
+    section = cfg.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, Mapping):
+        raise ConfigError(f"{key}: expected a mapping")
+    return section
+
+
 def _pair(section, key, where) -> Optional[Tuple[float, float]]:
     if key not in section:
         return None
@@ -202,7 +213,7 @@ def scenario_from_config(cfg: Mapping, label: str,
     if model not in ("original", "extended"):
         raise ConfigError(f"model: expected original or extended, got {model!r}")
 
-    params = cfg.get("parameters", {}) or {}
+    params = _section(cfg, "parameters")
     m = _number(params, "m", 1.0, "parameters", positive=True)
     nu = None
     if "nu" in params:
@@ -210,7 +221,7 @@ def scenario_from_config(cfg: Mapping, label: str,
         if nu < 0:
             raise ConfigError("parameters.nu: must be non-negative")
 
-    profiles = cfg.get("profiles", {}) or {}
+    profiles = _section(cfg, "profiles")
     omega_raw = profiles.get("omega", 1.0)
     eta_raw = profiles.get("eta_fric", 0.0)
     # fail early on malformed profile sections
@@ -218,8 +229,8 @@ def scenario_from_config(cfg: Mapping, label: str,
     _profile_from(eta_raw, "profiles.eta_fric")
 
     gauge = None
-    if "gauge" in cfg and cfg["gauge"]:
-        gsec = cfg["gauge"]
+    gsec = _section(cfg, "gauge")
+    if gsec:
         tau = _pair(gsec, "tau", "gauge")
         t = _pair(gsec, "t", "gauge")
         if tau is None or t is None:
@@ -230,7 +241,7 @@ def scenario_from_config(cfg: Mapping, label: str,
             raise ConfigError(f"gauge.t: empty span {list(t)}")
         gauge = GaugeSpec(window=(tau[0], tau[1], t[0], t[1]))
 
-    isec = cfg.get("integrator", {}) or {}
+    isec = _section(cfg, "integrator")
     method = str(isec.get("method", "rk45"))
     try:
         policy = IntegratorPolicy(
@@ -242,17 +253,17 @@ def scenario_from_config(cfg: Mapping, label: str,
     except DynamicsError as exc:
         raise ConfigError(f"integrator: {exc}")
 
-    init_sec = cfg.get("initial", {}) or {}
+    init_sec = _section(cfg, "initial")
     initial = {
         v: _number(init_sec, v, d, "initial")
         for v, d in (("x1", 1.0), ("p1", 0.0), ("x2", 0.0), ("p2", 0.0))
     }
 
-    esec = cfg.get("ermakov", {}) or {}
+    esec = _section(cfg, "ermakov")
     rho0 = _number(esec, "rho0", 1.0, "ermakov", positive=True)
     rho_dot0 = _number(esec, "rho_dot0", 0.0, "ermakov")
 
-    rsec = cfg.get("run", {}) or {}
+    rsec = _section(cfg, "run")
     span = _pair(rsec, "span", "run") or (0.0, 10.0)
     if span[1] <= span[0]:
         raise ConfigError(f"run.span: empty span {list(span)}")
@@ -286,7 +297,7 @@ def _profile_from(section, where: str) -> Profile:
         return ConstantProfile(_number(section, kind, None, where))
     if kind == "expression":
         try:
-            return ExprProfile(parse(str(value), ("t",)), var="t")
+            return ExprProfile(parse(str(value), ("t",)))
         except ParseError as exc:
             raise ConfigError(
                 f"{where}.expression: {exc} (column {exc.position})"
@@ -306,22 +317,13 @@ def _profile_from(section, where: str) -> Profile:
 
 def build_registry(scenario: Scenario,
                    span: Tuple[float, float]) -> AtomRegistry:
-    """Profiles for w, eta_fric and the damping factor f over the span."""
+    """The oscillator's atoms from the scenario's profiles over the span."""
     omega = _profile_from(scenario.omega_raw, "profiles.omega")
     eta = _profile_from(scenario.eta_raw, "profiles.eta_fric")
-    if isinstance(eta, ConstantProfile):
-        rate = eta.value(0, 0.0)
-        damping = (ConstantProfile(1.0) if rate == 0.0
-                   else ExponentialProfile(rate=-rate))
-    else:
-        try:
-            damping = DampingFactorProfile(eta, span)
-        except ValueError as exc:
-            raise ConfigError(f"profiles.eta_fric: {exc}")
-    return oscillator_registry(
-        friction_profile=eta, frequency_profile=omega,
-        damping_profile=damping,
-    )
+    try:
+        return oscillator_registry(eta, omega, span)
+    except ValueError as exc:
+        raise ConfigError(f"profiles.eta_fric: {exc}")
 
 
 # --------------------------------------------------------------------------
@@ -339,15 +341,11 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
     summary: Dict[str, object] = {"scenario": scenario.label,
                                   "model": scenario.model}
 
-    original = original_oscillator({"m": scenario.m}, registry)
+    original = original_oscillator(registry)
     h = hessian(original)
     sample = {"m": scenario.m, "t": 0.0,
               "x1": 0.3, "x2": -0.4, "x1_dot": 0.1, "x2_dot": 0.2}
-    sample.update(
-        {"f": registry.profile("f").value(0, 0.0),
-         "w": registry.profile("w").value(0, 0.0)}
-    )
-    rank = hessian_rank(h, _with_atom_values(h, sample, registry))
+    rank = hessian_rank(h, sample, registry)
     lgd = legendre(original)
     lines.append("original chart (x1, p1, x2, p2):")
     lines.append(f"  hessian det = {render(h.determinant)}")
@@ -370,12 +368,12 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
         _write_summary(out_dir, "analysis.json", summary)
         return OK, "\n".join(lines)
 
-    extended = extended_oscillator({"m": scenario.m}, registry)
+    extended = extended_oscillator(registry)
     eh = hessian(extended)
     esample = {"m": scenario.m, "tau": 0.0, "t_tau": 0.1,
                "x1_tau": 0.3, "x2_tau": -0.4,
                "x1_tau_dot": 0.1, "x2_tau_dot": 0.2, "t_tau_dot": 0.7}
-    erank = hessian_rank(eh, _with_atom_values(eh, esample, registry))
+    erank = hessian_rank(eh, esample, registry)
     elgd = legendre(extended)
     lines.append(
         "extended chart (x1_tau, p1_tau, x2_tau, p2_tau, t_tau, p_tau):"
@@ -457,20 +455,6 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
     }
     _write_summary(out_dir, "analysis.json", summary)
     return OK, "\n".join(lines)
-
-
-def _with_atom_values(h, sample: Dict[str, float],
-                      registry: AtomRegistry) -> Dict:
-    """Numeric bindings for every atom appearing in the Hessian."""
-    values: Dict = dict(sample)
-    seen = set()
-    for row in h.matrix:
-        for entry in row:
-            seen |= atoms_in(entry)
-    for a in seen:
-        arg_value = sample.get(a.arg, 0.0)
-        values[a] = registry.profile(a.name).value(a.order, float(arg_value))
-    return values
 
 
 # --------------------------------------------------------------------------
@@ -638,7 +622,7 @@ def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
     except (ExprError, CanonicalError) as exc:
         raise ConfigError(f"transform: {exc}")
 
-    overrides = cfg.get("override", {}) or {}
+    overrides = _section(cfg, "override")
     if overrides:
         maps = dict(tr.maps)
         for name, text in overrides.items():
@@ -711,6 +695,11 @@ def _run_one(command: str, path_str: str, opts: Dict) -> Tuple[int, str]:
             return run_transform_check(cfg, path.stem, out_dir,
                                        opts["points"], opts["tol"])
         scenario = scenario_from_config(cfg, path.stem, opts["points"])
+        if command == "invariant" and scenario.points < 5:
+            # the auxiliary equation's residual takes five-point differences
+            key = "run.points" if opts["points"] is None else "--points"
+            raise ConfigError(f"{key}: invariant needs at least 5, "
+                              f"got {scenario.points}")
         if command == "analyze":
             return run_analyze(scenario, out_dir)
         if command == "simulate":

@@ -9,9 +9,9 @@ constraint surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -19,12 +19,13 @@ from . import brackets as _brackets
 from .brackets import ConstraintClassification, classify_constraints, poisson
 from ._poly import Rat
 from .expr import (
-    Atom,
     AtomRegistry,
     Chart,
+    ConstantProfile,
+    DampingFactorProfile,
+    ExponentialProfile,
     Mul,
     PhaseExpr,
-    Sym,
     _finite,
     as_expr,
     atom,
@@ -35,7 +36,6 @@ from .expr import (
     lower,
     num,
     parse,
-    render,
     simplify,
     subst,
     sym,
@@ -56,17 +56,14 @@ class LagrangianModel:
     """A Lagrangian with named configuration variables and velocities.
 
     ``momenta`` names the conjugate momentum for each coordinate; when
-    omitted they default to ``p_<coordinate>``.  ``parameters`` binds
-    non-phase symbols (such as the mass) to numbers for numeric checks.
+    omitted they default to ``p_<coordinate>``.
     """
 
     coordinates: Tuple[str, ...]
     velocities: Tuple[str, ...]
     lagrangian: PhaseExpr
     momenta: Tuple[str, ...] = ()
-    parameters: Dict[str, float] = field(default_factory=dict)
     registry: Optional[AtomRegistry] = None
-    time_var: str = "t"
 
     def __post_init__(self):
         self.coordinates = tuple(self.coordinates)
@@ -111,13 +108,12 @@ class GaugeSpec:
     """Linear gauge t_τ(τ) over a window (τ₁, τ₂, t₁, t₂).
 
     ``eta_gauge`` vanishes exactly on the orbit
-    t_τ = (t₂−t₁)(τ−τ₁)/(τ₂−τ₁) + t₁ and the multiplier is the slope
+    t_τ = (t₂−t₁)(τ−τ₁)/(τ₂−τ₁) + t₁ of the extended oscillator's time
+    coordinate ``t_tau`` and the multiplier is the slope
     λ = (t₂−t₁)/(τ₂−τ₁).
     """
 
     window: Tuple[float, float, float, float]
-    time_coordinate: str = "t_tau"
-    parameter: str = "tau"
 
     def __post_init__(self):
         tau1, tau2, t1, t2 = self.window
@@ -136,8 +132,7 @@ class GaugeSpec:
         tau1, tau2, t1, t2 = (Fraction(v) for v in self.window)
         slope = num((t2 - t1) / (tau2 - tau1))
         return simplify(
-            sym(self.time_coordinate)
-            - (slope * (sym(self.parameter) - num(tau1)) + num(t1))
+            sym("t_tau") - (slope * (sym("tau") - num(tau1)) + num(t1))
         )
 
     def time_of(self, tau: float) -> float:
@@ -157,16 +152,6 @@ class ConstraintSet:
         if self.gauge is not None:
             out = out + (self.gauge.eta_gauge,)
         return out
-
-    def labels(self) -> Tuple[str, ...]:
-        if self.classification is None:
-            raise ConstraintError("constraint set has not been classified")
-        n = len(self.all_constraints())
-        return tuple(
-            "first-class" if i in self.classification.first_class
-            else "second-class"
-            for i in range(n)
-        )
 
 
 # --------------------------------------------------------------------------
@@ -211,14 +196,16 @@ def hessian(model: LagrangianModel) -> Hessian:
     )
 
 
-def hessian_rank(h: Hessian, values: Mapping, threshold: float = 1e-10) -> int:
-    """Numeric rank at a point: singular values above threshold·σ_max.
+def hessian_rank(h: Hessian, values: Mapping,
+                 registry: Optional[AtomRegistry] = None) -> int:
+    """Numeric rank at a point: singular values above 1e-10·σ_max.
 
-    ``values`` binds every variable, and every atom by its ``Atom``, of the
-    Hessian entries.
+    ``values`` binds every variable of the Hessian entries, and may bind an
+    atom by its ``Atom``; any other atom takes its ``registry`` profile at
+    its argument's value.
     """
     n = len(h.matrix)
-    fn = lower([e for row in h.matrix for e in row], tuple(values),
+    fn = lower([e for row in h.matrix for e in row], tuple(values), registry,
                time_var=None)
     numeric = np.array(
         _finite(fn, None, [float(v) for v in values.values()])
@@ -226,7 +213,7 @@ def hessian_rank(h: Hessian, values: Mapping, threshold: float = 1e-10) -> int:
     sv = np.linalg.svd(numeric, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > threshold * sv[0]))
+    return int(np.sum(sv > 1e-10 * sv[0]))
 
 
 def null_residual(h: Hessian, model: LagrangianModel) -> Tuple[PhaseExpr, ...]:
@@ -374,25 +361,24 @@ class SecondarySearch:
 
 def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
                           registry: Optional[AtomRegistry] = None,
-                          values_hint: Optional[Mapping[str, float]] = None,
-                          parameter: str = "tau",
-                          max_passes: int = 6) -> SecondarySearch:
-    """Consistency search: add dφ/dparameter until it vanishes weakly.
+                          values_hint: Optional[Mapping[str, float]] = None
+                          ) -> SecondarySearch:
+    """Consistency search: add dφ/dτ until it vanishes weakly.
 
-    The consistency condition is the total derivative
-    {φ, H_T} + ∂φ/∂parameter, so gauge constraints that carry the
-    evolution parameter explicitly are handled correctly.  Each pass keeps
-    the conditions that are effectively nonzero on the current surface.
+    The consistency condition is the total derivative {φ, H_T} + ∂φ/∂τ in
+    the evolution parameter ``tau``, so gauge constraints that carry it
+    explicitly are handled correctly.  Each pass keeps the conditions that
+    are effectively nonzero on the current surface; six passes at most.
     """
     known: List[PhaseExpr] = list(cs.all_constraints())
     found: List[PhaseExpr] = []
-    for pass_count in range(1, max_passes + 1):
+    for pass_count in range(1, 7):
         new: List[PhaseExpr] = []
         candidates = []
         for phi in known:
             c = simplify(
                 poisson(phi, total_h, chart, registry)
-                + diff(phi, parameter, registry)
+                + diff(phi, "tau", registry)
             )
             if is_zero_expr(c):
                 continue
@@ -407,7 +393,7 @@ def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
                                                 values_hint,
                                                 extra_exprs=candidates)
             for c in candidates:
-                if not _brackets._effectively_nonzero(c, surface, 1e-10):
+                if not _brackets._effectively_nonzero(c, surface):
                     continue
                 if any(is_zero_expr(c - k) for k in known):
                     continue
@@ -424,26 +410,36 @@ def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
 # --------------------------------------------------------------------------
 
 def oscillator_registry(friction_profile=None, frequency_profile=None,
-                        damping_profile=None) -> AtomRegistry:
+                        span=None) -> AtomRegistry:
     """Atoms of the damped oscillator family.
 
     ``w`` is the (possibly time-dependent) angular frequency, ``eta_fric``
     the friction coefficient, and ``f`` the accumulated damping factor
-    exp(-∫eta_fric); f carries the derivative rule f' = -eta_fric·f.
+    exp(-∫₀ᵗ eta_fric); f carries the derivative rule f' = -eta_fric·f, and
+    its profile is built from the friction's: 1 for no friction, an
+    exponential for a constant one, else a ``DampingFactorProfile``, which
+    needs ``span`` when the friction has no closed-form integral (a
+    ``ValueError`` otherwise).
     """
+    damping = None
+    if isinstance(friction_profile, ConstantProfile):
+        rate = friction_profile.value(0, 0.0)
+        damping = (ConstantProfile(1.0) if rate == 0.0
+                   else ExponentialProfile(rate=-rate))
+    elif friction_profile is not None:
+        damping = DampingFactorProfile(friction_profile, span)
     reg = AtomRegistry()
     reg.register("w", profile=frequency_profile)
     reg.register("eta_fric", profile=friction_profile)
     reg.register(
         "f",
         derivative=lambda arg: -atom("eta_fric", arg) * atom("f", arg),
-        profile=damping_profile,
+        profile=damping,
     )
     return reg
 
 
-def original_oscillator(parameters: Optional[Mapping[str, float]] = None,
-                        registry: Optional[AtomRegistry] = None
+def original_oscillator(registry: Optional[AtomRegistry] = None
                         ) -> LagrangianModel:
     """Planar damped oscillator in physical time t."""
     reg = registry if registry is not None else oscillator_registry()
@@ -457,14 +453,11 @@ def original_oscillator(parameters: Optional[Mapping[str, float]] = None,
         velocities=("x1_dot", "x2_dot"),
         lagrangian=lag,
         momenta=("p1", "p2"),
-        parameters=dict(parameters or {}),
         registry=reg,
-        time_var="t",
     )
 
 
-def extended_oscillator(parameters: Optional[Mapping[str, float]] = None,
-                        registry: Optional[AtomRegistry] = None
+def extended_oscillator(registry: Optional[AtomRegistry] = None
                         ) -> LagrangianModel:
     """The same oscillator with time promoted to a configuration variable.
 
@@ -488,7 +481,5 @@ def extended_oscillator(parameters: Optional[Mapping[str, float]] = None,
         velocities=("x1_tau_dot", "x2_tau_dot", "t_tau_dot"),
         lagrangian=lag,
         momenta=("p1_tau", "p2_tau", "p_tau"),
-        parameters=dict(parameters or {}),
         registry=reg,
-        time_var="tau",
     )

@@ -12,8 +12,8 @@ involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,8 +70,6 @@ class Trajectory:
     grid: np.ndarray
     series: Dict[str, np.ndarray]
     param_name: str = "t"
-    integrator: str = ""
-    policy: Optional[IntegratorPolicy] = None
     # filled by integrate(): accepted/rejected step counts, step-size range,
     # and for rk45 the worst accepted error estimate per unit step in
     # tolerance-scale units
@@ -100,12 +98,6 @@ class Trajectory:
     @property
     def variables(self) -> Tuple[str, ...]:
         return tuple(self.series)
-
-    def state_at(self, index: int) -> Dict[str, float]:
-        return {name: float(arr[index]) for name, arr in self.series.items()}
-
-    def to_csv(self, path) -> None:
-        write_csv(self, path)
 
 
 def write_csv(traj: Trajectory, path) -> None:
@@ -338,8 +330,6 @@ def integrate(eom: Mapping[str, PhaseExpr], init: Mapping[str, float],
         grid=grid,
         series={v: table[:, i] for i, v in enumerate(variables)},
         param_name=param_name,
-        integrator=policy.method,
-        policy=policy,
         stats=stats,
     )
 
@@ -370,12 +360,8 @@ def extended_equations() -> Dict[str, PhaseExpr]:
         lt = _constraints.legendre(model)
         phi = lt.primaries[0]
         h_total = simplify(sym("lam") * phi)
-        eom = _brackets.hamilton_eom(
-            h_total, model.chart
-        )
-        _EXTENDED_CACHE["eom"] = eom
+        _EXTENDED_CACHE["eom"] = _brackets.hamilton_eom(h_total, model.chart)
         _EXTENDED_CACHE["phi"] = phi
-        _EXTENDED_CACHE["chart"] = model.chart
     return dict(_EXTENDED_CACHE["eom"])
 
 
@@ -459,9 +445,3 @@ def constraint_drift(traj: Trajectory, cs: ConstraintSet,
                             time_var=traj.param_name)
         out[name] = np.array([abs(fn(t, y)) for t, y in zip(times, rows)])
     return out
-
-
-def max_drift(drift: Mapping[str, np.ndarray]) -> float:
-    if not drift:
-        return 0.0
-    return max(float(np.max(v)) for v in drift.values())

@@ -479,14 +479,13 @@ class ConstantProfile(Profile):
 
 
 class ExponentialProfile(Profile):
-    """amplitude * exp(rate * t); every derivative order is closed-form."""
+    """exp(rate * t); every derivative order is closed-form."""
 
-    def __init__(self, rate: float, amplitude: float = 1.0):
+    def __init__(self, rate: float):
         self.rate = float(rate)
-        self.amplitude = float(amplitude)
 
     def value(self, order: int, t: float) -> float:
-        return self.amplitude * self.rate ** order * math.exp(self.rate * t)
+        return self.rate ** order * math.exp(self.rate * t)
 
 
 class TabulatedProfile(Profile):
@@ -516,22 +515,17 @@ class TabulatedProfile(Profile):
 
 
 class ExprProfile(Profile):
-    """Profile backed by an expression of the time variable."""
+    """Profile backed by an expression of the time variable ``t``."""
 
-    def __init__(self, expression: PhaseExpr, var: str = "t",
-                 registry: "AtomRegistry | None" = None):
-        self.var = var
-        self.registry = registry
+    def __init__(self, expression: PhaseExpr):
         self.expression = simplify(expression)
         self._last = self.expression
         self._lowered: List[Callable] = []   # one per derivative order
 
     def value(self, order: int, t: float) -> float:
         while len(self._lowered) <= order:
-            e = (diff(self._last, self.var, self.registry) if self._lowered
-                 else self._last)
-            self._lowered.append(
-                lower([e], (), self.registry, time_var=self.var))
+            e = diff(self._last, "t") if self._lowered else self._last
+            self._lowered.append(lower([e], ()))
             self._last = e
         return _finite(self._lowered[order], float(t), ())[0]
 
@@ -543,20 +537,19 @@ class DampingFactorProfile(Profile):
     free of t, has the exact antiderivative F (``antiderivative``), lowered
     once: f(t) = exp(-(F(t) - F(0))) at every t, and ``span`` is not used.
     Any other eta (a table, or t in the denominator) has no closed form:
-    the exponent is then a cubic-spline antiderivative of eta sampled over
-    ``span`` widened by 1 % + 1e-6 and t = 0, clamped to a table's own
-    span, which must cover t = 0.
+    the exponent is then a cubic-spline antiderivative of eta sampled at
+    4097 points over ``span`` widened by 1 % + 1e-6 and t = 0, clamped to a
+    table's own span, which must cover t = 0.
     """
 
-    def __init__(self, friction: Profile, span=None, samples: int = 4097):
+    def __init__(self, friction: Profile, span=None):
         self.friction = friction
         eta = (ExprProfile(num(friction.value(0, 0.0)))
                if isinstance(friction, ConstantProfile) else friction)
-        exact = (antiderivative(eta.expression, eta.var)
+        exact = (antiderivative(eta.expression, "t")
                  if isinstance(eta, ExprProfile) else None)
         if exact is not None:
-            self._exponent = lower([exact], (), eta.registry,
-                                   time_var=eta.var)
+            self._exponent = lower([exact], ())
             self._offset = self._exponent(0.0, ())[0]
             self._lo, self._hi = -math.inf, math.inf
             return
@@ -574,7 +567,7 @@ class DampingFactorProfile(Profile):
         lo = min(0.0, lo, max(lo - pad, ends[0]))
         hi = max(0.0, hi, min(hi + pad, ends[1]))
         from scipy.interpolate import CubicSpline
-        ts = np.linspace(lo, hi, samples)
+        ts = np.linspace(lo, hi, 4097)
         values = [friction.value(0, float(t)) for t in ts]
         accumulated = CubicSpline(ts, values).antiderivative()
         self._exponent = lambda t, y: (float(accumulated(t)),)
@@ -780,10 +773,6 @@ class Chart:
     @property
     def variables(self) -> Tuple[str, ...]:
         return self.coordinates + self.momenta
-
-    @property
-    def dim(self) -> int:
-        return 2 * len(self.pairs)
 
     def poisson_matrix(self) -> np.ndarray:
         n = len(self.pairs)

@@ -201,11 +201,9 @@ class DriftReport(NamedTuple):
     mode: str       # "relative" or "absolute"
 
 
-def invariant_drift_report(values, grid=None) -> DriftReport:
-    """Largest departure from the initial value, and where it happens.
-
-    Relative when I(0) is nonzero, absolute otherwise.  ``at_time`` is the
-    grid value when a grid is given, the array index otherwise.
+def invariant_drift_report(values, grid) -> DriftReport:
+    """Largest departure from the initial value, and the grid value where
+    it happens.  Relative when I(0) is nonzero, absolute otherwise.
     """
     arr = np.asarray(values, dtype=float)
     base = arr[0]
@@ -215,8 +213,8 @@ def invariant_drift_report(values, grid=None) -> DriftReport:
         dev = dev / abs(base)
         mode = "relative"
     idx = int(np.argmax(dev))
-    where = float(grid[idx]) if grid is not None else float(idx)
-    return DriftReport(max_drift=float(dev[idx]), at_time=where, mode=mode)
+    return DriftReport(max_drift=float(dev[idx]), at_time=float(grid[idx]),
+                       mode=mode)
 
 
 def ermakov_residuals(sol: ErmakovSolution, cfg: ErmakovConfig) -> np.ndarray:

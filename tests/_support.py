@@ -15,7 +15,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from phasekit import ConstantProfile, ExponentialProfile, oscillator_registry
+from phasekit import ConstantProfile, oscillator_registry
 
 # criterion number -> (passed, detail), filled by test_acceptance.py
 ACCEPTANCE: Dict[int, Tuple[bool, str]] = {}
@@ -43,13 +43,7 @@ def deadline(seconds: float):
 
 def constant_registry(omega: float = 2.0, eta: float = 0.0):
     """Constant-coefficient oscillator atoms; f = exp(-eta*t)."""
-    damping = (ConstantProfile(1.0) if eta == 0.0
-               else ExponentialProfile(rate=-eta))
-    return oscillator_registry(
-        friction_profile=ConstantProfile(eta),
-        frequency_profile=ConstantProfile(omega),
-        damping_profile=damping,
-    )
+    return oscillator_registry(ConstantProfile(eta), ConstantProfile(omega))
 
 
 def damped_oracle(omega: float, eta: float, x0: float, xdot0: float,

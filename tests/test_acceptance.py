@@ -180,7 +180,7 @@ def test_criterion_3_gauge_orbit_equivalence():
         lam = lams[i % 3]
         gauge = GaugeSpec((0.0, 10.0 / lam, 0.0, 10.0))
         registry = constant_registry(omega=omega, eta=eta)
-        model = original_oscillator({"m": 1.0}, registry)
+        model = original_oscillator(registry)
         h_expr = legendre(model).hamiltonian
         eom = hamilton_eom(h_expr, model.chart, registry=registry,
                            params={"m", "t"})
@@ -233,7 +233,7 @@ def test_criterion_4_damped_oscillator_oracle():
     omega, eta, m = 2.0, 0.3, 1.0
     init = {"x1": 1.0, "p1": 0.0, "x2": 0.3, "p2": -0.4}
     registry = constant_registry(omega=omega, eta=eta)
-    model = original_oscillator({"m": m}, registry)
+    model = original_oscillator(registry)
     eom = hamilton_eom(legendre(model).hamiltonian, model.chart,
                        registry=registry, params={"m", "t"})
     grid = np.linspace(0.0, 10.0, 201)

@@ -298,8 +298,7 @@ def test_hamilton_eom_matches_per_variable_brackets(gauged_system,
     for registry, cm in (gauged, curved_system):
         h = parse("x1_tau^2*p_tau + w(t_tau)*p1_tau*t_tau - p2_tau^3/f(t_tau)",
                   EXT_VARS, registry)
-        eom = hamilton_eom(h, EXTENDED_CHART, bracket=dirac, cm=cm,
-                           registry=registry)
+        eom = hamilton_eom(h, EXTENDED_CHART, cm=cm, registry=registry)
         plain = hamilton_eom(h, EXTENDED_CHART, registry=registry)
         for v in EXT_VARS:
             assert eom[v] == dirac(sym(v), h, cm, EXTENDED_CHART,

@@ -297,6 +297,47 @@ def test_run_points_above_the_cap_is_a_config_error(tmp_path, capsys):
                            "got 10000000000000")
 
 
+@pytest.mark.parametrize("points, argv, reason", [
+    (3, [], "run.points: invariant needs at least 5, got 3"),
+    (51, ["--points", "4"], "--points: invariant needs at least 5, got 4"),
+])
+def test_invariant_with_fewer_than_five_points_is_a_config_error(
+        tmp_path, capsys, points, argv, reason):
+    path = write_config(tmp_path, "few.yaml", short_oscillator(points=points))
+    code, out = run_cli(capsys, "invariant", str(path), "--out", str(tmp_path),
+                        *argv)
+    assert code == 2
+    assert out.strip() == f"error: {reason}"
+    assert not (tmp_path / "invariant.json").exists()
+
+
+@pytest.mark.parametrize("section", [
+    "profiles", "parameters", "gauge", "integrator", "initial", "ermakov",
+    "run",
+])
+@pytest.mark.parametrize("value", [[1, 2], "tau"], ids=["list", "string"])
+def test_section_that_is_not_a_mapping_exits_2(tmp_path, capsys, section,
+                                               value):
+    cfg = short_oscillator()
+    cfg[section] = value
+    path = write_config(tmp_path, "bad.yaml", cfg)
+    code, out = run_cli(capsys, "simulate", str(path), "--out", str(tmp_path),
+                        "--jobs", "1")
+    assert code == 2
+    assert out.strip() == f"error: {section}: expected a mapping"
+
+
+@pytest.mark.parametrize("value", [[1, 2], "p1_tau"], ids=["list", "string"])
+def test_override_that_is_not_a_mapping_exits_2(tmp_path, capsys, value):
+    cfg = yaml.safe_load((CONFIGS / "transform_corrupt.yaml").read_text())
+    cfg["override"] = value
+    path = write_config(tmp_path, "bad.yaml", cfg)
+    code, out = run_cli(capsys, "transform-check", str(path),
+                        "--out", str(tmp_path), "--jobs", "1")
+    assert code == 2
+    assert out.strip() == "error: override: expected a mapping"
+
+
 @pytest.mark.parametrize("command", ["simulate", "invariant"])
 @pytest.mark.parametrize("integrator", [
     {"method": "rk4", "max_step": 1e-300},

@@ -1,12 +1,17 @@
 """Singular Lagrangians: Hessians, Legendre transform, consistency search."""
 
+import numpy as np
 import pytest
 
 from phasekit import (
     Chart,
+    ConstantProfile,
     ConstraintError,
     ConstraintSet,
+    EvalError,
+    ExprProfile,
     GaugeSpec,
+    TabulatedProfile,
     classify,
     equivalent,
     extended_oscillator,
@@ -17,6 +22,7 @@ from phasekit import (
     null_residual,
     num,
     original_oscillator,
+    oscillator_registry,
     parse,
     secondary_constraints,
     simplify,
@@ -76,6 +82,17 @@ def test_hessian_ranks(original, extended):
     assert hessian_rank(hessian(original), values) == 2
     # one null direction out of three velocities
     assert hessian_rank(hessian(extended), values) == 2
+
+
+def test_hessian_rank_takes_unbound_atoms_from_the_registry(registry, original,
+                                                           extended):
+    values = {"m": 1.0, "t": 0.5, "x1_tau": 0.3, "x2_tau": -0.7,
+              "t_tau": 1.2, "t_tau_dot": 0.9, "x1_tau_dot": 0.1,
+              "x2_tau_dot": -0.4}
+    assert hessian_rank(hessian(original), values, registry) == 2
+    assert hessian_rank(hessian(extended), values, registry) == 2
+    with pytest.raises(EvalError, match="no registry"):
+        hessian_rank(hessian(original), values)
 
 
 def test_extended_null_direction_is_the_velocity_vector(extended):
@@ -210,3 +227,35 @@ def test_classify_attaches_classification(registry, extended):
                    values_hint={"m": 1.0})
     assert out.classification is not None
     assert out.classification.second_class == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the damping factor the registry builds from the friction
+# ---------------------------------------------------------------------------
+
+_TABLE_TIMES = np.linspace(0.0, 10.0, 11)
+FRICTIONS = {
+    "none": ConstantProfile(0.0),
+    "constant": ConstantProfile(0.37),
+    "linear": ExprProfile(parse("0.1 + 0.02*t", ["t"])),
+    "table": TabulatedProfile(_TABLE_TIMES,
+                              0.1 + 0.05 * np.sin(_TABLE_TIMES)),
+}
+
+
+@pytest.mark.parametrize("name", list(FRICTIONS))
+def test_registry_damping_factor_obeys_its_derivative_rule(name):
+    # f(0) = 1 and f' = -eta f, the rule diff applies to the atom f
+    eta = FRICTIONS[name]
+    f = oscillator_registry(eta, ConstantProfile(2.0), (0.0, 10.0)).profile("f")
+    assert f.value(0, 0.0) == 1.0
+    h = 1e-4
+    for t in (0.5, 3.7, 9.2):
+        assert f.value(1, t) == -eta.value(0, t) * f.value(0, t)
+        slope = (f.value(0, t + h) - f.value(0, t - h)) / (2 * h)
+        assert abs(slope - f.value(1, t)) < 1e-7
+
+
+def test_registry_needs_a_span_when_the_friction_has_no_closed_form():
+    with pytest.raises(ValueError, match="needs a span"):
+        oscillator_registry(ExprProfile(parse("1/(1+t)", ["t"])))

@@ -8,7 +8,6 @@ import pytest
 from phasekit import (
     ConstraintSet,
     ConstraintViolationError,
-    DampingFactorProfile,
     DynamicsError,
     ExprProfile,
     GaugeSpec,
@@ -137,7 +136,6 @@ def test_rk45_agrees_with_scipy_dop853_on_linear_in_t_profiles():
     registry = oscillator_registry(
         friction_profile=eta,
         frequency_profile=ExprProfile(parse("2 + 0.1*t", ["t"])),
-        damping_profile=DampingFactorProfile(eta),
     )
     _, eom = original_equations(registry)
     init = {"x1": 0.8, "x2": -0.5, "p1": -0.2, "p2": 0.6}

@@ -361,10 +361,10 @@ def test_constant_profile_orders():
 
 
 def test_exponential_profile_derivatives():
-    p = ExponentialProfile(rate=-0.3, amplitude=2.0)
+    p = ExponentialProfile(rate=-0.3)
     for order in range(3):
         assert p.value(order, 1.1) == pytest.approx(
-            2.0 * (-0.3) ** order * math.exp(-0.3 * 1.1))
+            (-0.3) ** order * math.exp(-0.3 * 1.1))
 
 
 def test_tabulated_profile_matches_dense_samples():

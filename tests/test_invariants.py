@@ -72,7 +72,6 @@ def _blowup_config():
     registry = oscillator_registry(
         friction_profile=ConstantProfile(0.0),
         frequency_profile=ExprProfile(parse("1/(1-t)", ["t"])),
-        damping_profile=ConstantProfile(1.0),
     )
     return ErmakovConfig(registry, (0.0, 2.0), m=1.0, nu=1.0)
 
@@ -129,7 +128,6 @@ def test_invariant_conserved_for_drifting_frequency():
     registry = oscillator_registry(
         friction_profile=ConstantProfile(0.0),
         frequency_profile=ExprProfile(parse("2 + t/10", ["t"])),
-        damping_profile=ConstantProfile(1.0),
     )
     cfg = ErmakovConfig(registry, (0.0, 5.0), m=1.0, nu=2.0)
     traj = co_integrate(cfg, INIT, TIGHT, points=201)
