@@ -484,7 +484,12 @@ def run_simulate(scenario: Scenario, out_dir: Path,
         "p1_tau": scenario.initial["p1"], "p2_tau": scenario.initial["p2"],
         "t_tau": t1, "p_tau": -h0,
     }
-    ext = integrate_extended(gauge, ext_init, scenario.policy, registry,
+    # the extended run steps in tau, and dt = lambda * dtau: cap its step so
+    # that the physical step matches the original run's
+    ext_policy = dataclasses.replace(
+        scenario.policy,
+        max_step=scenario.policy.max_step / abs(gauge.lambda_value))
+    ext = integrate_extended(gauge, ext_init, ext_policy, registry,
                              params, points=points)
 
     pairs = (("x1_tau", "x1"), ("x2_tau", "x2"),

@@ -230,7 +230,7 @@ def _term_tree(coeff: Fraction, mono_pairs) -> PhaseExpr:
     return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
 
-def _poly_tree(p, den_mono=None) -> PhaseExpr:
+def _poly_tree(p, scale, den_mono=()) -> PhaseExpr:
     items = sorted(
         p.items(),
         key=cmp_to_key(lambda a, b: _poly.mono_cmp(a[0], b[0])),
@@ -249,22 +249,25 @@ def _poly_tree(p, den_mono=None) -> PhaseExpr:
             pairs = tuple(sorted(exps.items()))
         else:
             pairs = m
-        terms.append(_term_tree(c, pairs))
+        terms.append(_term_tree(Fraction(c, scale), pairs))
     if not terms:
         return Num(Fraction(0))
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
 def from_rat(r: Rat) -> PhaseExpr:
-    """Canonical tree of a normal form; the tree carries ``r``."""
-    if _poly.is_const(r.den):
-        node = _poly_tree(r.num)
-    elif len(r.den) == 1:
-        (dm, dc), = r.den.items()
-        # monic denominator: dc == 1, fold into Laurent exponents
-        node = _poly_tree(r.num, den_mono=dm)
+    """Canonical tree of a normal form; the tree carries ``r``.
+
+    The tree shows the form over ℚ with a monic denominator: both sides are
+    divided by the denominator's leading coefficient, and a one-term
+    denominator folds into Laurent exponents of the numerator.
+    """
+    _, lc = _poly.leading(r.den)
+    if len(r.den) == 1:
+        (dm, _), = r.den.items()
+        node = _poly_tree(r.num, lc, den_mono=dm)
     else:
-        node = Div(_poly_tree(r.num), _poly_tree(r.den))
+        node = Div(_poly_tree(r.num, lc), _poly_tree(r.den, lc))
     object.__setattr__(node, "_rat", r)
     return node
 
@@ -415,7 +418,7 @@ def antiderivative(e: PhaseExpr, var: str) -> Optional[PhaseExpr]:
     if (0, var) in den_keys or any(k[0] == 1 and k[3] == var
                                    for k in _poly.poly_vars(r.num) | den_keys):
         return None
-    return from_rat(Rat(_poly.integrate_poly(r.num, (0, var)), r.den))
+    return from_rat(_poly.rat_integrate(r, (0, var)))
 
 
 # --------------------------------------------------------------------------
@@ -533,9 +536,9 @@ class ExprProfile(Profile):
 class DampingFactorProfile(Profile):
     """f(t) = exp(-int_0^t eta) for a friction profile eta(t).
 
-    A constant eta, or an expression whose normal form has a denominator
-    free of t, has the exact antiderivative F (``antiderivative``), lowered
-    once: f(t) = exp(-(F(t) - F(0))) at every t, and ``span`` is not used.
+    An expression friction whose normal form has a denominator free of t
+    has the exact antiderivative F (``antiderivative``), lowered once:
+    f(t) = exp(-(F(t) - F(0))) at every t, and ``span`` is not used.
     Any other eta (a table, or t in the denominator) has no closed form:
     the exponent is then a cubic-spline antiderivative of eta sampled at
     4097 points over ``span`` widened by 1 % + 1e-6 and t = 0, clamped to a
@@ -544,10 +547,8 @@ class DampingFactorProfile(Profile):
 
     def __init__(self, friction: Profile, span=None):
         self.friction = friction
-        eta = (ExprProfile(num(friction.value(0, 0.0)))
-               if isinstance(friction, ConstantProfile) else friction)
-        exact = (antiderivative(eta.expression, "t")
-                 if isinstance(eta, ExprProfile) else None)
+        exact = (antiderivative(friction.expression, "t")
+                 if isinstance(friction, ExprProfile) else None)
         if exact is not None:
             self._exponent = lower([exact], ())
             self._offset = self._exponent(0.0, ())[0]

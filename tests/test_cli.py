@@ -118,8 +118,9 @@ def test_analyze_output_is_byte_identical_to_goldens(tmp_path, capsys, name):
 # simulate and invariant on the shipped scenario configs, plus rk4 runs of
 # the oscillator; the digests were recorded before the steppers moved from
 # numpy rows to float tuples, and pin the arithmetic order of both methods.
-# At max_step 0.01 the extended rk4 run leaves the constraint surface (exit
-# 1, |phi| printed to 16 digits), so a finer step pins simulate's CSVs.
+# max_step bounds the physical step dt of both simulate runs: the extended
+# run steps in tau with max_step / |lambda| (lambda = 10 here), so at 0.01 it
+# takes the tau step that 0.001 once gave it, and both rk4 steps exit 0.
 RK4_STEPS = {"oscillator_rk4": 0.01, "oscillator_rk4_fine": 0.001}
 SCENARIO_DIGESTS = GOLDENS / "scenario_digests.json"
 SCENARIO_CASES = [
@@ -155,6 +156,20 @@ def test_scenario_outputs_are_byte_identical_to_goldens(tmp_path, command,
                                                         name):
     expected = json.loads(SCENARIO_DIGESTS.read_text())[f"{command} {name}"]
     assert scenario_record(tmp_path, command, name) == expected
+
+
+def test_rk4_max_step_bounds_the_physical_step_of_the_extended_run(
+        tmp_path, capsys):
+    # a tau step of max_step is lambda times the original run's dt: at 0.01
+    # the extended rk4 run once left the constraint surface and exited 1
+    cfg = yaml.safe_load((CONFIGS / "oscillator.yaml").read_text())
+    cfg["integrator"] = {"method": "rk4", "max_step": 0.01}
+    config = write_config(tmp_path, "rk4.yaml", cfg)
+    code, out = run_cli(capsys, "simulate", str(config),
+                        "--out", str(tmp_path / "out"))
+    assert code == 0, out
+    assert "gauge multiplier lambda = 10" in out
+    assert "equivalence check vs 1e-06: ok" in out
 
 
 def test_jobs_write_per_config_subdirs(tmp_path, capsys):

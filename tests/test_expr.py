@@ -28,6 +28,7 @@ from phasekit import (
     eval_expr,
     free_symbols,
     is_zero_expr,
+    lower,
     num,
     parse,
     render,
@@ -91,6 +92,27 @@ def test_fraction_constants_stay_exact():
 def test_render_parse_round_trip(text):
     e = simplify(expr_of(text))
     assert equivalent(parse(render(e), VARS), e)
+
+
+# the normal form is integral inside (x/(2*y) is stored as x over 2*y); the
+# rendered tree and the lowered code show the monic-over-Q form, with these
+# strings and values recorded before the integral normal form
+@pytest.mark.parametrize("text,rendered,values", [
+    ("x/(2*y)", "(1/2)*x*y^-1", (0.8333333333333333, -0.875)),
+    ("(6*x + 4)/(3*y)", "2*x*y^-1 + (4/3)*y^-1",
+     (5.111111111111111, -2.8333333333333335)),
+    ("(2*x + 2)/(4*x^2 - 4)", "(1/2)/(x - 1)", (2.0, -0.1111111111111111)),
+    ("-x/(-3*y - 6)", "((1/3)*x)/(y + 2)",
+     (0.1515151515151515, -0.29166666666666663)),
+    ("(3*x^2*y - 6*y)/(9*x*y^2)", "(1/3)*x*y^-1 - (2/3)*x^-1*y^-1",
+     (-0.15555555555555556, -0.488095238095238)),
+    ("x/(-2)", "-(1/2)*x", (-0.625, 1.75)),
+])
+def test_integer_content_renders_and_lowers_monic(text, rendered, values):
+    e = simplify(parse(text, ["x", "y"]))
+    assert render(e) == rendered
+    f = lower([e], ["x", "y"])
+    assert (f(0.0, (1.25, 0.75))[0], f(0.0, (-3.5, 2.0))[0]) == values
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +410,7 @@ def test_expr_profile_evaluates_expression():
 def test_damping_factor_matches_closed_form():
     # constant friction: f(t) = exp(-eta*t)
     eta = 0.4
-    p = DampingFactorProfile(ConstantProfile(eta), (0.0, 10.0))
+    p = DampingFactorProfile(ExprProfile(parse("0.4", ["t"])), (0.0, 10.0))
     for t in (0.0, 1.7, 9.5):
         assert p.value(0, t) == pytest.approx(math.exp(-eta * t), rel=1e-9)
         assert p.value(1, t) == pytest.approx(

@@ -91,22 +91,52 @@ def free_of(p, key):
         {(): Fraction(1)}
 
 
+def times(p, k):
+    return {m: c * k for m, c in p.items()}
+
+
 @settings(max_examples=60)
-@given(polys, polys, polys, polys, st.sampled_from(KEYS))
-def test_rat_diff_matches_sympy_diff(num, den, q, s, key):
+@given(polys, polys, polys, polys, st.sampled_from(KEYS), st.integers(2, 12))
+def test_rat_diff_matches_sympy_diff(num, den, q, s, key, k):
     # a term q/s free of key puts factors into the denominator that the
-    # derivative must cancel again
-    r = Rat(num, den) + Rat(free_of(q, key), free_of(s, key))
+    # derivative must cancel again; k gives the denominator integer content
+    r = Rat(num, times(den, k)) + Rat(free_of(q, key), free_of(s, key))
     d = rat_diff(r, key)
     assert_reduced_form_of(d, sympy.diff(sympy_rat(r), SYMBOLS[key[1]]))
 
 
 @settings(max_examples=60)
-@given(polys, polys, polys)
-def test_poly_gcd_matches_sympy_gcd(a, b, common):
-    # a shared factor makes most gcds nontrivial
+@given(polys, polys, polys, st.integers(2, 12))
+def test_poly_gcd_matches_sympy_gcd(a, b, common, k):
+    # a shared factor makes most gcds nontrivial, k an integer content
+    common = times(common, k)
     a, b = poly_mul(a, common), poly_mul(b, common)
     ours = sympy_poly(poly_gcd(a, b))
+    theirs = sympy.gcd(sympy_poly(a), sympy_poly(b))
+    ratio = sympy.cancel(ours / theirs)
+    assert ratio.is_Rational and ratio != 0
+
+
+def test_poly_gcd_evaluates_beyond_the_root_bound():
+    # (x - 1)(x^2 - x + 2) and 1 - x take the coprime values 4 and -1 at
+    # x = 2, and the lifted candidate 1 divides both: an evaluation point that
+    # small misses x - 1, which is why GCDHEU needs xi > 2 + 2*min norm
+    x = KEYS[0]
+    a = {((x, 3),): 1, ((x, 2),): -2, ((x, 1),): 3, (): -2}
+    b = {(): 1, ((x, 1),): -1}
+    assert poly_gcd(a, b) == {((x, 1),): 1, (): -1}
+
+
+@settings(max_examples=30)
+@given(polys, polys, polys, st.integers(2, 12))
+def test_poly_gcd_past_the_heuristic_size_limit_matches_sympy(a, b, common,
+                                                              k):
+    # coprime factors of some 16000 bits put the heuristic's images past its
+    # size limit, so the subresultant PRS decides these gcds; over Q they
+    # change the gcd by a constant only
+    common = times(common, k)
+    a, b = poly_mul(a, common), poly_mul(b, common)
+    ours = sympy_poly(poly_gcd(times(a, 2 ** 16001), times(b, 3 ** 10100)))
     theirs = sympy.gcd(sympy_poly(a), sympy_poly(b))
     ratio = sympy.cancel(ours / theirs)
     assert ratio.is_Rational and ratio != 0
@@ -120,6 +150,31 @@ def test_simplify_matches_sympy_cancel(e):
     except ExprError:
         return      # the raw tree divides by zero somewhere
     assert_reduced_form_of(r, sympy_tree(e))
+
+
+def assert_canonical(r):
+    """Integer coefficients, coprime over ℤ, positive leading denominator
+    coefficient in the graded lexicographic order x > y > z."""
+    assert all(type(c) is int for c in (*r.num.values(), *r.den.values()))
+    num, den = sympy_poly(r.num), sympy_poly(r.den)
+    assert sympy.gcd(num, den) in (1, -1)
+    assert sympy.Poly(den, *SYMBOLS.values()).LC(order="grlex") > 0
+
+
+@settings(max_examples=60)
+@given(trees(), trees(), trees())
+def test_rat_arithmetic_keeps_the_canonical_form(a, b, c):
+    # (a + b)·c and a·c + b·c are different trees with one value
+    factored, expanded = Mul((Add((a, b)), c)), Add((Mul((a, c)), Mul((b, c))))
+    try:
+        left, right = to_rat(factored), to_rat(expanded)
+        quotient = to_rat(Div(Add((a, Num(Fraction(-1, 3)))), c))
+    except ExprError:
+        return      # the raw tree divides by zero somewhere
+    assert left == right and hash(left) == hash(right)
+    powers = () if left.is_zero() else (left ** -2,)
+    for r in (left, quotient, to_rat(a), to_rat(b) - to_rat(c), *powers):
+        assert_canonical(r)
 
 
 # ---------------------------------------------------------------------------
