@@ -3,14 +3,15 @@
 Right-hand sides arrive as symbolic equations of motion and are lowered to
 plain Python callables once per run by ``expr.lower``.  Two steppers are
 provided: adaptive Dormand-Prince RK45 (default) and fixed-step RK4 for
-reproducibility tables.  Both carry the state as a tuple of Python floats,
-from which ``integrate`` builds the output table once, and both land
-exactly on the requested output grid; no dense-output interpolation is
-involved.
+reproducibility tables.  One step of each is Python source generated from
+its tableau for the state's dimension, with every component a float local;
+``integrate`` builds the output table once, and both land exactly on the
+requested output grid, with no dense-output interpolation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -70,9 +71,9 @@ class Trajectory:
     grid: np.ndarray
     series: Dict[str, np.ndarray]
     param_name: str = "t"
-    # filled by integrate(): accepted/rejected step counts, step-size range,
-    # and for rk45 the worst accepted error estimate per unit step in
-    # tolerance-scale units
+    # filled by integrate(): accepted/rejected steps, RHS evaluations (nfev),
+    # step-size range and, for rk45, the worst accepted error estimate per
+    # unit step in tolerance-scale units
     stats: Optional[Dict[str, float]] = None
 
     def __post_init__(self):
@@ -158,34 +159,42 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
          22 / 525, -1 / 40)
 
 
-def _combination(coeffs, base):
-    """``f(y, h, k)`` giving y + h·Σ coeffs[i]·k[i] per component, or h·Σ
-    without ``base``: one comprehension compiled from the tableau, with the
-    sum written out left to right from 0.0, which fixes its rounding."""
-    ks = ", ".join(f"k{i}" for i in range(len(coeffs)))
-    terms = "".join(f" + {a!r} * k{i}" for i, a in enumerate(coeffs))
-    value = f"{'yj + ' if base else ''}h * (0.0{terms})"
-    return eval(f"lambda y, h, k: tuple({value} for yj, {ks} in zip(y, *k))")
+@functools.lru_cache(maxsize=None)
+def _steppers(d: int):
+    """``(dp, rk4)`` steps for dimension d, written out from the tableaux
+    with a local per component; sums run left to right from 0.0, zero terms
+    included, which fixes their rounding.  ``dp`` returns the 5th-order
+    state, its RMS error in tolerance units and the slope there (FSAL)."""
+    def row(fmt):
+        return "(" + "".join(fmt.format(j) + ", " for j in range(d)) + ")"
 
+    def sum_of(coeffs):
+        return "(0.0" + "".join(f" + {a!r} * k{i}_{{0}}"
+                                for i, a in enumerate(coeffs)) + ")"
 
-_DP_STAGES = tuple(_combination(a, True) for a in _DP_A[1:])
-_DP_ERR = _combination(_DP_E, False)
-
-
-def _axpy(y, h, v):
-    return tuple(yj + h * vj for yj, vj in zip(y, v))
-
-
-def _dp_step(rhs, t, y, h, k1):
-    k = [k1]
-    for c, stage_of in zip(_DP_C[1:], _DP_STAGES):
-        stage = stage_of(y, h, k)
-        k.append(rhs(t + c * h, stage))
-    # the last stage is y5 and k[6] its slope: first-same-as-last
-    return stage, _DP_ERR(y, h, k), k[6]
+    dp = ["def dp(rhs, t, y, h, k0, abs_tol, rel_tol):",
+          f"{row('y{0}')} = y", f"{row('k0_{0}')} = k0"]
+    for i, (c, a) in enumerate(zip(_DP_C[1:], _DP_A[1:]), 1):
+        dp += [f"z = {row('y{0} + h * ' + sum_of(a))}",
+               f"k{i} = rhs(t + {c!r} * h, z)", f"{row(f'k{i}_{{0}}')} = k{i}"]
+    dp += [f"q{j} = h * {sum_of(_DP_E).format(j)} / "
+           f"(abs_tol + rel_tol * max(abs(y{j}), abs(z[{j}])))"
+           for j in range(d)]
+    squares = "".join(f" + q{j} * q{j}" for j in range(d))
+    dp.append(f"return z, _sqrt((0.0{squares}) / {d}), k6")
+    rk4 = ["def rk4(rhs, t, y, h):", f"{row('y{0}')} = y",
+           "h2, h6 = h / 2, h / 6", f"{row('a{0}')} = rhs(t, y)",
+           f"{row('b{0}')} = rhs(t + h2, {row('y{0} + h2 * a{0}')})",
+           f"{row('c{0}')} = rhs(t + h2, {row('y{0} + h2 * b{0}')})",
+           f"{row('e{0}')} = rhs(t + h, {row('y{0} + h * c{0}')})",
+           f"return {row('y{0} + h6 * (a{0} + 2 * b{0} + 2 * c{0} + e{0})')}"]
+    scope = {"_sqrt": math.sqrt}
+    exec("\n".join("\n    ".join(f) for f in (dp, rk4)), scope)
+    return scope["dp"], scope["rk4"]
 
 
 def _integrate_rk45(rhs, y0, grid, policy, observer=None):
+    dp = _steppers(len(y0))[0]
     states = [y0]
     t = float(grid[0])
     y = y0
@@ -197,10 +206,8 @@ def _integrate_rk45(rhs, y0, grid, policy, observer=None):
         raise NonFiniteStateError(f"right-hand side undefined at t={t}")
     span = float(grid[-1] - grid[0])
     h = min(policy.max_step, span / 100.0)
-    accepted = 0
-    rejected = 0
-    h_min, h_max = math.inf, 0.0
-    worst = 0.0
+    accepted = rejected = 0
+    h_min, h_max, worst = math.inf, 0.0, 0.0
     for target in grid[1:]:
         target = float(target)
         while t < target - 1e-14 * max(1.0, abs(target)):
@@ -210,20 +217,15 @@ def _integrate_rk45(rhs, y0, grid, policy, observer=None):
                     f"step size underflow at t={t}"
                 )
             try:
-                y_new, err, k_last = _dp_step(rhs, t, y, h, k1)
+                y_new, err_norm, k_last = dp(rhs, t, y, h, k1, policy.abs_tol,
+                                             policy.rel_tol)
             except (ZeroDivisionError, OverflowError):
                 raise NonFiniteStateError(
                     f"right-hand side undefined near t={t}"
                 )
             if not all(map(math.isfinite, y_new)):
                 raise NonFiniteStateError(f"state became non-finite near t={t}")
-            # RMS of err / scale, summed in order; error per unit step:
-            # global drift stays near tol x span
-            total = 0.0
-            for e, a, b in zip(err, y, y_new):
-                q = e / (policy.abs_tol + policy.rel_tol * max(abs(a), abs(b)))
-                total += q * q
-            err_norm = math.sqrt(total / len(y))
+            # error per unit step: global drift stays near tol x span
             if err_norm <= h:
                 accepted += 1
                 h_min, h_max = min(h_min, h), max(h_max, h)
@@ -245,6 +247,7 @@ def _integrate_rk45(rhs, y0, grid, policy, observer=None):
     stats = {
         "steps": float(accepted),
         "rejected": float(rejected),
+        "nfev": float(1 + 6 * (accepted + rejected)),
         "min_step": h_min if accepted else 0.0,
         "max_step": h_max,
         "max_error_per_unit_step": worst,
@@ -253,6 +256,7 @@ def _integrate_rk45(rhs, y0, grid, policy, observer=None):
 
 
 def _integrate_rk4(rhs, y0, grid, policy, observer=None):
+    rk4 = _steppers(len(y0))[1]
     states = [y0]
     y = y0
     total = 0
@@ -268,12 +272,7 @@ def _integrate_rk4(rhs, y0, grid, policy, observer=None):
             h_min, h_max = min(h_min, h), max(h_max, h)
             t = a
             for _ in range(n):
-                k1 = rhs(t, y)
-                k2 = rhs(t + h / 2, _axpy(y, h / 2, k1))
-                k3 = rhs(t + h / 2, _axpy(y, h / 2, k2))
-                k4 = rhs(t + h, _axpy(y, h, k3))
-                y = _axpy(y, h / 6, [p + 2 * q + 2 * r + s
-                                     for p, q, r, s in zip(k1, k2, k3, k4)])
+                y = rk4(rhs, t, y, h)
                 t += h
             if not all(map(math.isfinite, y)):
                 raise NonFiniteStateError(f"state became non-finite near t={b}")
@@ -285,6 +284,7 @@ def _integrate_rk4(rhs, y0, grid, policy, observer=None):
     stats = {
         "steps": float(total),
         "rejected": 0.0,
+        "nfev": float(4 * total),
         "min_step": h_min,
         "max_step": h_max,
     }

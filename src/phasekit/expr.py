@@ -651,9 +651,12 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
     variable, an ``Atom`` binds that atom outright, with no profile
     involved.  Any other variable must be a key of ``params`` (its value is
     built into the code) or be named ``time_var`` (bound to ``t``; ``None``
-    binds nothing); any other atom calls its registered profile, once per
-    call of ``f`` for each distinct atom.  Every operation gets its own
-    assignment, so deep trees never meet the parser's nesting limit.  The
+    binds nothing).  Any other atom is evaluated once per call of ``f`` for
+    each distinct atom: a ``ConstantProfile`` is written in as a literal, an
+    ``ExponentialProfile`` as ``(rate) ** order * exp((rate) * arg)``, the
+    same arithmetic as its ``value``, and any other profile is called.
+    Every operation gets its own assignment, made once for a subtree shared
+    by identity, so deep trees never meet the parser's nesting limit.  The
     arithmetic is plain Python: a pole raises ``ZeroDivisionError`` and an
     overflowing power ``OverflowError``.
     """
@@ -661,9 +664,10 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
     params = params or {}
     if registry is not None:
         registry.freeze()
-    glb: Dict[str, object] = {}
+    glb: Dict[str, object] = {"_exp": math.exp}
     lines: List[str] = []
     atom_calls: Dict[Atom, str] = {}
+    emitted: Dict[int, str] = {}    # by id(): a shared subtree is assigned once
 
     def constant(value) -> str:
         try:
@@ -685,30 +689,47 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
         lines.append(f"    {target} = {code}\n")
         return target
 
+    def profile(e: Atom) -> str:
+        if registry is None:
+            raise EvalError(f"no registry supplied for atom '{e.name}'")
+        p = registry.profile(e.name)
+        if type(p) is ConstantProfile:
+            return constant(p.value(e.order, 0.0))
+        if type(p) is ExponentialProfile:
+            rate = constant(p.rate)
+            return assign(f"{rate} ** {e.order} * _exp({rate} * "
+                          f"{symbol(e.arg)})")
+        fn = f"_profile_{len(glb)}"
+        glb[fn] = p.value
+        return assign(f"{fn}({e.order}, {symbol(e.arg)})")
+
     def emit(e: PhaseExpr) -> str:
+        code = emitted.get(id(e))
+        if code is not None:
+            return code
         if isinstance(e, Num):
-            return constant(e.value)
-        if isinstance(e, Sym):
-            return symbol(e.name)
-        if isinstance(e, Atom):
+            code = constant(e.value)
+        elif isinstance(e, Sym):
+            code = symbol(e.name)
+        elif isinstance(e, Atom):
             if e in slots:
-                return f"y[{slots[e]}]"
-            if e not in atom_calls:
-                if registry is None:
-                    raise EvalError(f"no registry supplied for atom '{e.name}'")
-                fn = f"_profile_{len(glb)}"
-                glb[fn] = registry.profile(e.name).value
-                atom_calls[e] = assign(f"{fn}({e.order}, {symbol(e.arg)})")
-            return atom_calls[e]
-        if isinstance(e, Add):
-            return assign(" + ".join(emit(t) for t in e.terms) or "0.0")
-        if isinstance(e, Mul):
-            return assign(" * ".join(emit(f) for f in e.factors) or "1.0")
-        if isinstance(e, Pow):
-            return assign(f"{emit(e.base)} ** {e.exp}")
-        if isinstance(e, Div):
-            return assign(f"{emit(e.num)} / {emit(e.den)}")
-        raise TypeError(f"not a PhaseExpr node: {e!r}")
+                code = f"y[{slots[e]}]"
+            else:
+                if e not in atom_calls:
+                    atom_calls[e] = profile(e)
+                code = atom_calls[e]
+        elif isinstance(e, Add):
+            code = assign(" + ".join(emit(t) for t in e.terms) or "0.0")
+        elif isinstance(e, Mul):
+            code = assign(" * ".join(emit(f) for f in e.factors) or "1.0")
+        elif isinstance(e, Pow):
+            code = assign(f"{emit(e.base)} ** {e.exp}")
+        elif isinstance(e, Div):
+            code = assign(f"{emit(e.num)} / {emit(e.den)}")
+        else:
+            raise TypeError(f"not a PhaseExpr node: {e!r}")
+        emitted[id(e)] = code
+        return code
 
     results = [emit(e) for e in exprs]
     source = ("def _lowered(t, y):\n" + "".join(lines)

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from phasekit import ConstantProfile, oscillator_registry
+from phasekit import ConstantProfile, dynamics, oscillator_registry
 
 # criterion number -> (passed, detail), filled by test_acceptance.py
 ACCEPTANCE: Dict[int, Tuple[bool, str]] = {}
@@ -44,6 +44,28 @@ def deadline(seconds: float):
 def constant_registry(omega: float = 2.0, eta: float = 0.0):
     """Constant-coefficient oscillator atoms; f = exp(-eta*t)."""
     return oscillator_registry(ConstantProfile(eta), ConstantProfile(omega))
+
+
+def count_rhs_calls(monkeypatch):
+    """Wrap ``dynamics.compile_rhs`` so that every right-hand side it
+    compiles counts its calls; returns the counts, one per compiled
+    right-hand side in compilation order."""
+    counts = []
+    compile_rhs = dynamics.compile_rhs
+
+    def counting(*args, **kwargs):
+        rhs = compile_rhs(*args, **kwargs)
+        slot = len(counts)
+        counts.append(0)
+
+        def counted(t, y):
+            counts[slot] += 1
+            return rhs(t, y)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "compile_rhs", counting)
+    return counts
 
 
 def damped_oracle(omega: float, eta: float, x0: float, xdot0: float,

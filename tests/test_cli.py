@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import phasekit
 from phasekit import cli, equivalent, parse
 
-from _support import constant_registry, deadline
+from _support import constant_registry, count_rhs_calls, deadline
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -660,6 +660,33 @@ def test_invariant_summary_reports_integrator_stats(tmp_path, capsys,
     assert stats["rejected"] >= 0
     assert 0.0 < stats["min_step"] <= stats["max_step"] <= 0.05
     assert 0.0 < stats["max_error_per_unit_step"] <= 1.0
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_stats_count_every_rhs_evaluation(tmp_path, capsys, monkeypatch,
+                                          method):
+    # rk45 makes the first slope and then six calls per attempted step (the
+    # seventh stage is the next step's first); rk4 makes four per step
+    calls = count_rhs_calls(monkeypatch)
+    cfg = yaml.safe_load((CONFIGS / "oscillator.yaml").read_text())
+    if method == "rk4":
+        cfg["integrator"] = {"method": "rk4", "max_step": 0.01}
+    config = write_config(tmp_path, "oscillator.yaml", cfg)
+    for command in ("simulate", "invariant"):
+        code, _ = run_cli(capsys, command, str(config),
+                          "--out", str(tmp_path / command))
+        assert code == 0
+    simulate = json.loads((tmp_path / "simulate" / "simulate.json")
+                          .read_text())
+    invariant = json.loads((tmp_path / "invariant" / "invariant.json")
+                           .read_text())
+    runs = [simulate["original_stats"], simulate["extended_stats"],
+            invariant["stats"]]
+    assert [stats["nfev"] for stats in runs] == calls
+    for stats in runs:
+        assert stats["nfev"] == (
+            1 + 6 * (stats["steps"] + stats["rejected"])
+            if method == "rk45" else 4 * stats["steps"])
 
 
 def test_undamped_equilibrium_is_machine_level(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Integration of symbolic equations of motion and the extended system."""
 
+import math
+import random
 import warnings
 
 import numpy as np
@@ -32,9 +34,9 @@ from phasekit import (
     sym,
     write_csv,
 )
-from phasekit.dynamics import compile_rhs
+from phasekit.dynamics import _DP_A, _DP_C, _DP_E, _steppers, compile_rhs
 
-from _support import constant_registry, damped_oracle
+from _support import constant_registry, count_rhs_calls, damped_oracle
 
 TIGHT = IntegratorPolicy(method="rk45", abs_tol=1e-12, rel_tol=1e-12,
                          max_step=0.05)
@@ -151,6 +153,70 @@ def test_rk45_agrees_with_scipy_dop853_on_linear_in_t_profiles():
 
 
 # ---------------------------------------------------------------------------
+# the generated steps against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def _combination(coeffs, base):
+    """y + h·Σ coeffs[i]·k[i] per component (h·Σ without ``base``), the sum
+    written out left to right from 0.0."""
+    ks = ", ".join(f"k{i}" for i in range(len(coeffs)))
+    terms = "".join(f" + {a!r} * k{i}" for i, a in enumerate(coeffs))
+    value = f"{'yj + ' if base else ''}h * (0.0{terms})"
+    return eval(f"lambda y, h, k: tuple({value} for yj, {ks} in zip(y, *k))")
+
+
+_DP_STAGES = tuple(_combination(a, True) for a in _DP_A[1:])
+_DP_ERR = _combination(_DP_E, False)
+
+
+def _axpy(y, h, v):
+    return tuple(yj + h * vj for yj, vj in zip(y, v))
+
+
+def _dp_step(rhs, t, y, h, k1, abs_tol, rel_tol):
+    k = [k1]
+    for c, stage_of in zip(_DP_C[1:], _DP_STAGES):
+        stage = stage_of(y, h, k)
+        k.append(rhs(t + c * h, stage))
+    total = 0.0
+    for e, a, b in zip(_DP_ERR(y, h, k), y, stage):
+        q = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+        total += q * q
+    return stage, math.sqrt(total / len(y)), k[6]
+
+
+def _rk4_step(rhs, t, y, h):
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2, _axpy(y, h / 2, k1))
+    k3 = rhs(t + h / 2, _axpy(y, h / 2, k2))
+    k4 = rhs(t + h, _axpy(y, h, k3))
+    return _axpy(y, h / 6, [p + 2 * q + 2 * r + s
+                            for p, q, r, s in zip(k1, k2, k3, k4)])
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_generated_steps_equal_the_reference_loops(d):
+    rng = random.Random(20261018 + d)
+    a = [[rng.uniform(-3.0, 3.0) for _ in range(d)] for _ in range(d)]
+    b = [rng.uniform(-1.0, 1.0) for _ in range(d)]
+
+    def rhs(t, y):
+        return tuple(sum(aij * yj for aij, yj in zip(row, y)) + bi * t
+                     for row, bi in zip(a, b))
+
+    dp, rk4 = _steppers(d)
+    for _ in range(50):
+        y = tuple(rng.uniform(-2.0, 2.0) for _ in range(d))
+        k1 = tuple(rng.uniform(-2.0, 2.0) for _ in range(d))
+        t, h = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-4.0, -0.5)
+        tols = (10.0 ** rng.uniform(-12.0, -3.0),
+                10.0 ** rng.uniform(-12.0, -3.0))
+        assert dp(rhs, t, y, h, k1, *tols) == _dp_step(rhs, t, y, h, k1,
+                                                       *tols)
+        assert rk4(rhs, t, y, h) == _rk4_step(rhs, t, y, h)
+
+
+# ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
 
@@ -180,11 +246,15 @@ def test_grid_must_increase():
         integrate(eom, {"x": 1.0}, np.array([0.0, 2.0, 1.0]), TIGHT)
 
 
-def test_blowup_aborts_instead_of_returning_garbage():
-    # dx/dt = x^2 from x=1 diverges at t=1
+def test_blowup_aborts_instead_of_returning_garbage(monkeypatch):
+    # dx/dt = x^2 from x=1 diverges at t=1; the step collapses after 68 607
+    # attempts of six RHS calls each, after the first slope
+    calls = count_rhs_calls(monkeypatch)
     eom = {"x": parse("x^2", ["x"])}
-    with pytest.raises((StepSizeUnderflowError, NonFiniteStateError)):
+    with pytest.raises(StepSizeUnderflowError) as err:
         integrate(eom, {"x": 1.0}, (0.0, 2.0), TIGHT)
+    assert str(err.value) == "step size underflow at t=0.9999961864295372"
+    assert calls == [1 + 6 * 68_607]
 
 
 def test_trajectory_validates_series():

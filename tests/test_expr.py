@@ -308,6 +308,32 @@ def test_eval_expr_binds_atoms_directly():
     assert value == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("argument", ["t", "t_tau"])
+def test_lower_inlines_closed_form_profiles_bit_for_bit(argument):
+    # -0.1 catches a rate emitted without parentheses: -0.1 ** 2 is -0.01
+    profiles = {"c": ConstantProfile(-2.5), "e1": ExponentialProfile(-0.1),
+                "e2": ExponentialProfile(-1.7), "e3": ExponentialProfile(0.3)}
+    reg = AtomRegistry()
+    for name, profile in profiles.items():
+        reg.register(name, profile=profile)
+    atoms = [atom(name, argument, order)
+             for name in profiles for order in range(4)]
+    # t_tau is the extended run's time coordinate, a slot of the state
+    fn = lower(atoms, () if argument == "t" else (argument,), reg)
+    assert not any(name.startswith("_profile") for name in fn.__globals__)
+    for t in (-3.3, 0.0, 0.7, 9.25):
+        values = fn(t, ()) if argument == "t" else fn(None, (t,))
+        assert values == tuple(profiles[a.name].value(a.order, t)
+                               for a in atoms)
+
+
+def test_lower_assigns_a_shared_subtree_once():
+    shared = Mul((sym("x"), sym("y")))
+    fn = lower([Add((shared, num(1))), Mul((shared, num(3)))], ("x", "y"))
+    assert fn.__code__.co_varnames == ("t", "y", "_0", "_1", "_2")
+    assert fn(None, (2.0, 5.0)) == (11.0, 30.0)
+
+
 def test_eval_expr_handles_deep_raw_trees():
     # 150 levels of Add(Mul(...)) nest 300 parentheses in a single
     # expression, past the parser's limit of 200
