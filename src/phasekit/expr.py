@@ -654,11 +654,12 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
     binds nothing).  Any other atom is evaluated once per call of ``f`` for
     each distinct atom: a ``ConstantProfile`` is written in as a literal, an
     ``ExponentialProfile`` as ``(rate) ** order * exp((rate) * arg)``, the
-    same arithmetic as its ``value``, and any other profile is called.
-    Every operation gets its own assignment, made once for a subtree shared
-    by identity, so deep trees never meet the parser's nesting limit.  The
+    same arithmetic as its ``value``, and any other profile, or one whose
+    value or rate is not finite, is called.  Every operation gets its own
+    assignment, so deep trees never meet the parser's nesting limit.  The
     arithmetic is plain Python: a pole raises ``ZeroDivisionError`` and an
-    overflowing power ``OverflowError``.
+    overflowing power ``OverflowError``; a non-finite parameter raises
+    ``NonFiniteError`` here.
     """
     slots = {key: i for i, key in enumerate(inputs)}
     params = params or {}
@@ -667,13 +668,15 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
     glb: Dict[str, object] = {"_exp": math.exp}
     lines: List[str] = []
     atom_calls: Dict[Atom, str] = {}
-    emitted: Dict[int, str] = {}    # by id(): a shared subtree is assigned once
 
     def constant(value) -> str:
         try:
-            return f"({float(value)!r})"
+            x = float(value)
         except OverflowError:
             raise NonFiniteError(f"constant {value} overflows a float")
+        if not math.isfinite(x):
+            raise NonFiniteError(f"constant {value} is not finite")
+        return f"({x!r})"
 
     def symbol(name: str) -> str:
         if name in slots:
@@ -693,9 +696,10 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
         if registry is None:
             raise EvalError(f"no registry supplied for atom '{e.name}'")
         p = registry.profile(e.name)
-        if type(p) is ConstantProfile:
+        # a non-finite value or rate is left to the call, which returns it
+        if type(p) is ConstantProfile and math.isfinite(p.value(0, 0.0)):
             return constant(p.value(e.order, 0.0))
-        if type(p) is ExponentialProfile:
+        if type(p) is ExponentialProfile and math.isfinite(p.rate):
             rate = constant(p.rate)
             return assign(f"{rate} ** {e.order} * _exp({rate} * "
                           f"{symbol(e.arg)})")
@@ -704,32 +708,25 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
         return assign(f"{fn}({e.order}, {symbol(e.arg)})")
 
     def emit(e: PhaseExpr) -> str:
-        code = emitted.get(id(e))
-        if code is not None:
-            return code
         if isinstance(e, Num):
-            code = constant(e.value)
-        elif isinstance(e, Sym):
-            code = symbol(e.name)
-        elif isinstance(e, Atom):
+            return constant(e.value)
+        if isinstance(e, Sym):
+            return symbol(e.name)
+        if isinstance(e, Atom):
             if e in slots:
-                code = f"y[{slots[e]}]"
-            else:
-                if e not in atom_calls:
-                    atom_calls[e] = profile(e)
-                code = atom_calls[e]
-        elif isinstance(e, Add):
-            code = assign(" + ".join(emit(t) for t in e.terms) or "0.0")
-        elif isinstance(e, Mul):
-            code = assign(" * ".join(emit(f) for f in e.factors) or "1.0")
-        elif isinstance(e, Pow):
-            code = assign(f"{emit(e.base)} ** {e.exp}")
-        elif isinstance(e, Div):
-            code = assign(f"{emit(e.num)} / {emit(e.den)}")
-        else:
-            raise TypeError(f"not a PhaseExpr node: {e!r}")
-        emitted[id(e)] = code
-        return code
+                return f"y[{slots[e]}]"
+            if e not in atom_calls:
+                atom_calls[e] = profile(e)
+            return atom_calls[e]
+        if isinstance(e, Add):
+            return assign(" + ".join(emit(t) for t in e.terms) or "0.0")
+        if isinstance(e, Mul):
+            return assign(" * ".join(emit(f) for f in e.factors) or "1.0")
+        if isinstance(e, Pow):
+            return assign(f"{emit(e.base)} ** {e.exp}")
+        if isinstance(e, Div):
+            return assign(f"{emit(e.num)} / {emit(e.den)}")
+        raise TypeError(f"not a PhaseExpr node: {e!r}")
 
     results = [emit(e) for e in exprs]
     source = ("def _lowered(t, y):\n" + "".join(lines)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from phasekit import (
+    AtomRegistry,
+    ConstantProfile,
     ConstraintSet,
     ConstraintViolationError,
     DynamicsError,
@@ -231,6 +233,14 @@ def test_pole_in_the_rhs_ends_cleanly(method):
                            match="right-hand side undefined"):
             integrate(eom, {"x": 0.0}, (0.0, 1.0),
                       IntegratorPolicy(method=method), points=11)
+
+
+def test_non_finite_profile_ends_cleanly():
+    registry = AtomRegistry()
+    registry.register("g", profile=ConstantProfile(math.inf))
+    eom = {"x": parse("g(t) * x", ["x", "t"], registry)}
+    with pytest.raises(NonFiniteStateError, match="state became non-finite"):
+        integrate(eom, {"x": 1.0}, (0.0, 1.0), registry=registry, points=3)
 
 
 def test_missing_initial_variable():

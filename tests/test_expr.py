@@ -327,11 +327,21 @@ def test_lower_inlines_closed_form_profiles_bit_for_bit(argument):
                                for a in atoms)
 
 
-def test_lower_assigns_a_shared_subtree_once():
-    shared = Mul((sym("x"), sym("y")))
-    fn = lower([Add((shared, num(1))), Mul((shared, num(3)))], ("x", "y"))
-    assert fn.__code__.co_varnames == ("t", "y", "_0", "_1", "_2")
-    assert fn(None, (2.0, 5.0)) == (11.0, 30.0)
+@pytest.mark.parametrize("profile", [
+    ConstantProfile(math.inf), ConstantProfile(math.nan),
+    ExponentialProfile(math.inf), ExponentialProfile(math.nan)])
+def test_non_finite_profiles_raise_non_finite_error(profile):
+    # such a profile is called, not written in: "(inf)" is not Python
+    reg = AtomRegistry()
+    reg.register("g", profile=profile)
+    with pytest.raises(NonFiniteError):
+        eval_expr(parse("g(t) * x", ["x", "t"], reg), {"x": 1.0}, time=0.5,
+                  registry=reg)
+
+
+def test_lower_rejects_a_non_finite_parameter():
+    with pytest.raises(NonFiniteError):
+        lower([parse("a * x", ["x", "a"])], ("x",), params={"a": math.nan})
 
 
 def test_eval_expr_handles_deep_raw_trees():
