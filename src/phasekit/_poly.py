@@ -707,3 +707,16 @@ def rat_integrate(r: Rat, key: tuple) -> Rat:
     scale = lcm(*(k for _, _, k in terms))
     return Rat({m: c * (scale // k) for m, c, k in terms},
                {m: c * scale for m, c in r.den.items()})
+
+
+def poly_at(p: Poly, images: Dict[tuple, Rat]) -> Rat:
+    """p with every key of ``images`` replaced by its image."""
+    out = Rat.const(0)
+    for m, c in p.items():
+        term = Rat({tuple(kv for kv in m if kv[0] not in images): c},
+                   {MONO_ONE: 1}, reduce=False)
+        for k, e in m:
+            if k in images:
+                term = term * images[k] ** e
+        out = out + term
+    return out

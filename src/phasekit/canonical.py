@@ -17,7 +17,7 @@ carries quadrature terms evaluated on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,7 +28,6 @@ from .expr import (
     PhaseExpr,
     ZERO,
     _finite,
-    _subst,
     antiderivative,
     diff,
     free_symbols,
@@ -138,10 +137,9 @@ class Transform:
     Residual and Jacobian checks derive everything from ``maps``, so that
     transforms corrupted via ``dataclasses.replace`` are diagnosed honestly.
 
-    ``chain`` is set only by ``compose``.  Composed maps are kept as raw
-    substitution trees (exact canonicalization of a composition blows up),
-    and evaluation and differentiation go through the chain instead.  Edit
-    ``maps`` only on transforms with ``chain is None``.
+    ``chain`` is set only by ``compose``: a composed transform has no maps
+    of its own, and evaluation, Jacobians and sampling gates go through the
+    chain's stages instead.
     """
 
     maps: Dict[str, Component]
@@ -151,9 +149,6 @@ class Transform:
                                       compare=False)
     _residuals: Optional["_Lowered"] = field(default=None, init=False,
                                              repr=False, compare=False)
-
-    def is_pure(self) -> bool:
-        return all(isinstance(c, PhaseExpr) for c in self.maps.values())
 
 
 # --------------------------------------------------------------------------
@@ -412,8 +407,8 @@ def _residual_components(tr: Transform) -> Tuple[Component, ...]:
     if tr.chain is not None:
         raise CanonicalError(
             "the seven-equation residuals need canonical-form maps; a "
-            "composed transform keeps raw trees, check symplectic_defect "
-            "instead"
+            "composed transform has no maps of its own, check "
+            "symplectic_defect instead"
         )
     p1, p2 = sym("P1"), sym("P2")
     a1 = tr.maps["x1_tau"]
@@ -487,19 +482,8 @@ def compose(outer: Transform, inner: Transform) -> Transform:
     """outer ∘ inner: feed inner's extended-chart output into outer's
     new-chart slots positionally (Q1~x1_tau, ..., P_T~p_tau).
 
-    The returned maps are raw substitution trees (inspectable and
-    evaluable); numerics go through the stored chain, so the Jacobian is
-    the exact product of the stage Jacobians.
+    No maps are built: numerics go through the stored chain, so the
+    Jacobian is the exact product of the stage Jacobians, and either stage
+    may carry quadrature terms or be a composition itself.
     """
-    if not (outer.is_pure() and inner.is_pure()):
-        raise CanonicalError(
-            "composition needs expression-backed transforms on both sides"
-        )
-    mapping = {
-        new_var: inner.maps[old_name]
-        for new_var, old_name in _POSITIONAL.items()
-    }
-    maps: Dict[str, Component] = {
-        name: _subst(outer.maps[name], mapping) for name in OLD_ORDER
-    }
-    return Transform(maps=maps, chain=(outer, inner))
+    return Transform(maps={}, chain=(outer, inner))

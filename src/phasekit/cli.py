@@ -63,6 +63,8 @@ from .constraints import (
     ConstraintError,
     ConstraintSet,
     GaugeSpec,
+    LagrangianModel,
+    LegendreResult,
     extended_oscillator,
     hessian,
     hessian_rank,
@@ -334,21 +336,18 @@ def _matrix_lines(rows) -> List[str]:
     return ["[" + ", ".join(render(e) for e in row) + "]" for row in rows]
 
 
-def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
-    span = scenario.gauge.window[2:] if scenario.gauge else scenario.span
-    registry = build_registry(scenario, span)
-    lines = [f"scenario: {scenario.label}"]
-    summary: Dict[str, object] = {"scenario": scenario.label,
-                                  "model": scenario.model}
-
-    original = original_oscillator(registry)
-    h = hessian(original)
-    sample = {"m": scenario.m, "t": 0.0,
-              "x1": 0.3, "x2": -0.4, "x1_dot": 0.1, "x2_dot": 0.2}
+def _chart_analysis(model: LagrangianModel, sample: Mapping[str, float],
+                    registry: AtomRegistry, heading: str,
+                    lines: List[str]) -> Tuple[LegendreResult, Dict]:
+    """Hessian, its rank at the sample point and the Legendre transform of
+    one chart, reported under ``heading``; returns the transform and the
+    chart's summary."""
+    h = hessian(model)
     rank = hessian_rank(h, sample, registry)
-    lgd = legendre(original)
-    lines.append("original chart (x1, p1, x2, p2):")
-    lines.append(f"  hessian det = {render(h.determinant)}")
+    lgd = legendre(model)
+    det = render(h.determinant)
+    lines.append(heading)
+    lines.append(f"  hessian det = {det}")
     lines.append(f"  hessian rank at sample point: {rank}")
     if lgd.primaries:
         lines.append("  primary constraints:")
@@ -357,36 +356,40 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
     else:
         lines.append("  no constraints")
     lines.append(f"  H = {render(lgd.hamiltonian)}")
-    summary["original"] = {
-        "hessian_det": render(h.determinant),
+    return lgd, {
+        "hessian_det": det,
         "rank": rank,
         "primaries": [render(p) for p in lgd.primaries],
         "hamiltonian": render(lgd.hamiltonian),
     }
+
+
+def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
+    span = scenario.gauge.window[2:] if scenario.gauge else scenario.span
+    registry = build_registry(scenario, span)
+    lines = [f"scenario: {scenario.label}"]
+    summary: Dict[str, object] = {"scenario": scenario.label,
+                                  "model": scenario.model}
+
+    _, summary["original"] = _chart_analysis(
+        original_oscillator(registry),
+        {"m": scenario.m, "t": 0.0,
+         "x1": 0.3, "x2": -0.4, "x1_dot": 0.1, "x2_dot": 0.2},
+        registry, "original chart (x1, p1, x2, p2):", lines)
 
     if scenario.model == "original":
         _write_summary(out_dir, "analysis.json", summary)
         return OK, "\n".join(lines)
 
     extended = extended_oscillator(registry)
-    eh = hessian(extended)
-    esample = {"m": scenario.m, "tau": 0.0, "t_tau": 0.1,
-               "x1_tau": 0.3, "x2_tau": -0.4,
-               "x1_tau_dot": 0.1, "x2_tau_dot": 0.2, "t_tau_dot": 0.7}
-    erank = hessian_rank(eh, esample, registry)
-    elgd = legendre(extended)
-    lines.append(
-        "extended chart (x1_tau, p1_tau, x2_tau, p2_tau, t_tau, p_tau):"
-    )
-    lines.append(f"  hessian det = {render(eh.determinant)}")
-    lines.append(f"  hessian rank at sample point: {erank}")
-    if elgd.primaries:
-        lines.append("  primary constraints:")
-        lines.extend(f"    phi_{i} = {render(p)}"
-                     for i, p in enumerate(elgd.primaries))
-    else:
-        lines.append("  no constraints")
-    lines.append(f"  H = {render(elgd.hamiltonian)}")
+    elgd, extended_summary = _chart_analysis(
+        extended,
+        {"m": scenario.m, "tau": 0.0, "t_tau": 0.1,
+         "x1_tau": 0.3, "x2_tau": -0.4,
+         "x1_tau_dot": 0.1, "x2_tau_dot": 0.2, "t_tau_dot": 0.7},
+        registry,
+        "extended chart (x1_tau, p1_tau, x2_tau, p2_tau, t_tau, p_tau):",
+        lines)
 
     cs = ConstraintSet(primaries=elgd.primaries, gauge=scenario.gauge)
     chart = extended.chart
@@ -415,10 +418,7 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
     lines.extend("    " + row
                  for row in cs.classification.report().splitlines())
     summary["extended"] = {
-        "hessian_det": render(eh.determinant),
-        "rank": erank,
-        "primaries": [render(p) for p in elgd.primaries],
-        "hamiltonian": render(elgd.hamiltonian),
+        **extended_summary,
         "secondaries": [render(s) for s in search.secondaries],
         "first_class": list(cs.classification.first_class),
         "second_class": list(cs.classification.second_class),

@@ -6,15 +6,16 @@ registered derivative rules and numeric profiles), sums, products, integer
 powers and quotients.  ``simplify`` canonicalizes any tree to a reduced
 rational normal form, so structural equality after ``simplify`` decides
 semantic equality.  A canonical node carries its ``Rat`` (so arithmetic on
-canonical operands is one ``Rat`` operation), and ``diff`` works on that
-normal form.  Floating point enters only through ``lower``, which compiles
-expressions to Python code; ``eval_expr`` is its one-shot form.
+canonical operands is one ``Rat`` operation), and ``diff`` and ``subst``
+work on that normal form, not on the tree.  Floating point enters only
+through ``lower``, which compiles expressions to Python code;
+``eval_expr`` is its one-shot form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
@@ -145,7 +146,6 @@ class Div(PhaseExpr):
 
 
 ZERO = Num(Fraction(0))
-ONE = Num(Fraction(1))
 
 
 def num(value: Number) -> Num:
@@ -296,51 +296,31 @@ def const_value(e: PhaseExpr) -> Fraction:
     return r.const_value()
 
 
+def _leaves(e: PhaseExpr):
+    """Sym and Atom leaves of the tree, cancelling ones included."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Sym, Atom)):
+            yield node
+        elif isinstance(node, Add):
+            stack.extend(node.terms)
+        elif isinstance(node, Mul):
+            stack.extend(node.factors)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+        elif isinstance(node, Div):
+            stack.extend((node.num, node.den))
+
+
 def free_symbols(e: PhaseExpr) -> set:
     """Names of variables appearing in the tree (atom arguments included)."""
-    out: set = set()
-    _collect_symbols(e, out)
-    return out
-
-
-def _collect_symbols(e: PhaseExpr, out: set) -> None:
-    if isinstance(e, Sym):
-        out.add(e.name)
-    elif isinstance(e, Atom):
-        out.add(e.arg)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_symbols(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_symbols(f, out)
-    elif isinstance(e, Pow):
-        _collect_symbols(e.base, out)
-    elif isinstance(e, Div):
-        _collect_symbols(e.num, out)
-        _collect_symbols(e.den, out)
+    return {leaf.name if isinstance(leaf, Sym) else leaf.arg
+            for leaf in _leaves(e)}
 
 
 def atoms_in(e: PhaseExpr) -> set:
-    out: set = set()
-    _collect_atoms(e, out)
-    return out
-
-
-def _collect_atoms(e: PhaseExpr, out: set) -> None:
-    if isinstance(e, Atom):
-        out.add(e)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_atoms(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_atoms(f, out)
-    elif isinstance(e, Pow):
-        _collect_atoms(e.base, out)
-    elif isinstance(e, Div):
-        _collect_atoms(e.num, out)
-        _collect_atoms(e.den, out)
+    return {leaf for leaf in _leaves(e) if isinstance(leaf, Atom)}
 
 
 # --------------------------------------------------------------------------
@@ -364,40 +344,6 @@ def diff(e: PhaseExpr, v, registry: "AtomRegistry | None" = None) -> PhaseExpr:
             inner = to_rat(_atom_derivative(_key_node(key), registry))
             out = out + _poly.rat_diff(r, key) * inner
     return from_rat(out)
-
-
-def _diff(e: PhaseExpr, v, reg) -> PhaseExpr:
-    if isinstance(e, Num):
-        return ZERO
-    if isinstance(e, Sym):
-        return ONE if (isinstance(v, str) and e.name == v) else ZERO
-    if isinstance(e, Atom):
-        if isinstance(v, Atom):
-            return ONE if e == v else ZERO
-        if e.arg == v:
-            return _atom_derivative(e, reg)
-        return ZERO
-    if isinstance(e, Add):
-        return Add(tuple(_diff(t, v, reg) for t in e.terms))
-    if isinstance(e, Mul):
-        terms = []
-        for i, f in enumerate(e.factors):
-            df = _diff(f, v, reg)
-            terms.append(Mul(e.factors[:i] + (df,) + e.factors[i + 1:]))
-        return Add(tuple(terms))
-    if isinstance(e, Pow):
-        if e.exp == 0:
-            return Mul((ZERO, e))    # zero where the base is defined
-        db = _diff(e.base, v, reg)
-        return Mul((Num(Fraction(e.exp)), Pow(e.base, e.exp - 1), db))
-    if isinstance(e, Div):
-        da = _diff(e.num, v, reg)
-        db = _diff(e.den, v, reg)
-        return Div(
-            Add((Mul((da, e.den)), Mul((Num(Fraction(-1)), e.num, db)))),
-            Pow(e.den, 2),
-        )
-    raise TypeError(f"not a PhaseExpr node: {e!r}")
 
 
 def _atom_derivative(a: Atom, reg) -> PhaseExpr:
@@ -426,40 +372,35 @@ def antiderivative(e: PhaseExpr, var: str) -> Optional[PhaseExpr]:
 # --------------------------------------------------------------------------
 
 def subst(e: PhaseExpr, mapping: Mapping[str, "PhaseExpr | Number"]) -> PhaseExpr:
-    """Replace variables by expressions and canonicalize.
+    """Replace variables by expressions, simultaneously, on the normal form.
 
-    An atom argument can only be renamed, i.e. mapped to another plain
-    variable; mapping it to a composite expression raises
+    Every variable key of ``to_rat(e)`` that ``mapping`` names takes the
+    normal form of its image, and the numerator and denominator are
+    evaluated at those images in ``Rat`` arithmetic.  An atom argument can
+    only be renamed, i.e. mapped to another plain variable, which renames
+    the atom's key; mapping it to a composite expression raises
     ``SubstitutionError``.
     """
     m = {k: as_expr(v) for k, v in mapping.items()}
-    return simplify(_subst(e, m))
-
-
-def _subst(e: PhaseExpr, m: Mapping[str, PhaseExpr]) -> PhaseExpr:
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Sym):
-        return m.get(e.name, e)
-    if isinstance(e, Atom):
-        if e.arg in m:
-            target = m[e.arg]
-            if isinstance(target, Sym):
-                return Atom(e.name, e.order, target.name)
-            raise SubstitutionError(
-                f"cannot substitute a composite expression into the "
-                f"argument of {e.name}({e.arg})"
-            )
-        return e
-    if isinstance(e, Add):
-        return Add(tuple(_subst(t, m) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(_subst(f, m) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(_subst(e.base, m), e.exp)
-    if isinstance(e, Div):
-        return Div(_subst(e.num, m), _subst(e.den, m))
-    raise TypeError(f"not a PhaseExpr node: {e!r}")
+    r = to_rat(e)
+    images: Dict[tuple, Rat] = {}
+    for key in _poly.poly_vars(r.num) | _poly.poly_vars(r.den):
+        if key[0] == 0 and key[1] in m:
+            images[key] = to_rat(m[key[1]])
+        elif key[0] == 1 and key[3] in m:
+            target = m[key[3]]
+            if not isinstance(target, Sym):
+                raise SubstitutionError(
+                    f"cannot substitute a composite expression into the "
+                    f"argument of {key[1]}({key[3]})"
+                )
+            images[key] = Rat.symbol(key[:3] + (target.name,))
+    if not images:
+        return simplify(e)
+    den = _poly.poly_at(r.den, images)
+    if den.is_zero():
+        raise ExprError("division by a zero expression")
+    return from_rat(_poly.poly_at(r.num, images) / den)
 
 
 # --------------------------------------------------------------------------

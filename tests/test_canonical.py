@@ -5,6 +5,7 @@ import pytest
 
 from phasekit import (
     CanonicalError,
+    ComponentMap,
     DegenerateSpecError,
     NEW_CHART,
     TransformSpec,
@@ -124,11 +125,15 @@ def test_jacobian_matches_finite_differences():
             assert m[i, j] == pytest.approx(fd, abs=5e-6)
 
 
+def quadrature_transform():
+    return complete(spec_of(a1="Q1", a2="Q2", b="T", d1="T/(1 + Q1^2)"))
+
+
 def test_quadrature_route_stays_symplectic():
     # d1 rational in Q1: the Q-integral has no polynomial antiderivative,
     # so p_tau evaluates through numeric quadrature
-    tr = complete(spec_of(a1="Q1", a2="Q2", b="T", d1="T/(1 + Q1^2)"))
-    assert not tr.is_pure()
+    tr = quadrature_transform()
+    assert isinstance(tr.maps["p_tau"], ComponentMap)
     pts = sample_states(tr, count=16)
     assert symplectic_defect(tr, pts) < 1e-9
     assert max(abs(r) for p in pts for r in ode_residuals(tr, p)) < 1e-9
@@ -185,15 +190,30 @@ def test_composition_stays_symplectic():
 def test_composition_evaluates_through_both_maps():
     outer = complete(spec_of(a1="2*Q1", a2="Q2", b="T"))
     inner = complete(spec_of(a1="Q1 + T", a2="Q2", b="2*T"))
-    chained = compose(outer, inner)
+    third = complete(spec_of(a1="Q1 - T^2", a2="3*Q2", b="T + T^3",
+                             d2="Q2*T"))
     point = {v: x for v, x in zip(NEW_VARS, (0.3, -0.2, 0.7, 0.1, 0.4, -0.5))}
-    mid = evaluate(inner, point)
-    renamed = {"Q1": mid["x1_tau"], "Q2": mid["x2_tau"], "T": mid["t_tau"],
-               "P1": mid["p1_tau"], "P2": mid["p2_tau"], "P_T": mid["p_tau"]}
-    direct = evaluate(outer, renamed)
-    via_chain = evaluate(chained, point)
+
+    def renamed(old):
+        return {"Q1": old["x1_tau"], "Q2": old["x2_tau"], "T": old["t_tau"],
+                "P1": old["p1_tau"], "P2": old["p2_tau"], "P_T": old["p_tau"]}
+
+    direct = evaluate(outer, renamed(evaluate(inner, point)))
+    via_chain = evaluate(compose(outer, inner), point)
     for name, value in direct.items():
         assert via_chain[name] == pytest.approx(value, abs=1e-12)
+
+    stepwise = evaluate(outer, renamed(evaluate(inner, renamed(
+        evaluate(third, point)))))
+    nested = evaluate(compose(compose(outer, inner), third), point)
+    for name, value in stepwise.items():
+        assert nested[name] == pytest.approx(value, abs=1e-12)
+
+
+def test_composition_with_a_quadrature_stage_stays_symplectic():
+    chained = compose(quadrature_transform(), complete(spec_of(**POLY)))
+    pts = sample_states(chained, count=8)
+    assert symplectic_defect(chained, pts) < 1e-9
 
 
 def test_composed_residuals_point_at_symplectic_check():

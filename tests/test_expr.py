@@ -36,7 +36,8 @@ from phasekit import (
     subst,
     sym,
 )
-from phasekit.expr import (Add, Div, ExprError, Mul, Pow, _diff, atoms_in,
+from phasekit.expr import (Add, Atom, Div, ExprError, Mul, Num, Pow,
+                           SubstitutionError, Sym, _atom_derivative, atoms_in,
                            from_rat, to_rat)
 
 from _support import constant_registry
@@ -165,12 +166,25 @@ def test_diff_product_rule(a, b):
     assert equivalent(lhs, rhs)
 
 
-@given(poly_exprs())
-def test_subst_then_eval_matches_eval(e):
+@given(poly_exprs(), st.sampled_from(["y + 1", "y/(1 + z^2)"]))
+def test_subst_then_eval_matches_eval(e, image):
     values = {"x": 0.37, "y": -1.21, "z": 0.84}
-    shifted = subst(e, {"x": parse("y + 1", ["y"])})
-    direct = eval_expr(e, {**values, "x": values["y"] + 1.0})
+    target = parse(image, ["y", "z"])
+    shifted = subst(e, {"x": target})
+    direct = eval_expr(e, {**values, "x": eval_expr(target, values)})
     assert eval_expr(shifted, values) == pytest.approx(direct, abs=1e-9)
+
+
+def test_subst_renames_an_atom_argument():
+    reg = constant_registry()
+    e = parse("w(t)^2*x + t", ["x", "t"], reg)
+    assert subst(e, {"t": sym("s")}) == parse("w(s)^2*x + s", ["x", "s"], reg)
+
+
+def test_subst_refuses_a_composite_atom_argument():
+    e = parse("w(t)*x", ["x", "t"], constant_registry())
+    with pytest.raises(SubstitutionError, match=r"argument of w\(t\)"):
+        subst(e, {"t": parse("s + 1", ["s"])})
 
 
 def test_diff_matches_central_difference():
@@ -233,6 +247,32 @@ def atom_exprs(draw, depth=0):
     b = draw(atom_exprs(depth=depth + 1))
     return Add((a, b)) if op == "add" else Mul((a, b)) if op == "mul" \
         else Div(a, b)
+
+
+def _diff(e, v, reg):
+    """Product- and quotient-rule derivative of a raw tree, unsimplified."""
+    if isinstance(e, Num):
+        return num(0)
+    if isinstance(e, Sym):
+        return num(1 if isinstance(v, str) and e.name == v else 0)
+    if isinstance(e, Atom):
+        if isinstance(v, Atom):
+            return num(1 if e == v else 0)
+        return _atom_derivative(e, reg) if e.arg == v else num(0)
+    if isinstance(e, Add):
+        return Add(tuple(_diff(t, v, reg) for t in e.terms))
+    if isinstance(e, Mul):
+        return Add(tuple(
+            Mul(e.factors[:i] + (_diff(f, v, reg),) + e.factors[i + 1:])
+            for i, f in enumerate(e.factors)))
+    if isinstance(e, Pow):
+        if e.exp == 0:
+            return Mul((num(0), e))    # zero where the base is defined
+        return Mul((num(e.exp), Pow(e.base, e.exp - 1),
+                    _diff(e.base, v, reg)))
+    da, db = _diff(e.num, v, reg), _diff(e.den, v, reg)
+    return Div(Add((Mul((da, e.den)), Mul((num(-1), e.num, db)))),
+               Pow(e.den, 2))
 
 
 @settings(max_examples=300)

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasekit import simplify, sym
+from phasekit import simplify, subst, sym
 from phasekit._poly import Rat, poly_gcd, poly_mul, rat_diff
 from phasekit.expr import Add, Div, ExprError, Mul, Num, Pow, Sym, to_rat
 
@@ -150,6 +150,21 @@ def test_simplify_matches_sympy_cancel(e):
     except ExprError:
         return      # the raw tree divides by zero somewhere
     assert_reduced_form_of(r, sympy_tree(e))
+
+
+@settings(max_examples=60)
+@given(trees(), st.dictionaries(st.sampled_from(NAMES), trees(), min_size=1))
+def test_subst_matches_sympy_cancel(e, images):
+    try:
+        r = to_rat(subst(e, images))
+    except ExprError:
+        return      # a raw tree, or the image of a denominator, is zero
+    expected = sympy.cancel(sympy_tree(e).subs(
+        {SYMBOLS[n]: sympy_tree(i) for n, i in images.items()},
+        simultaneous=True))
+    if expected.has(sympy.nan, sympy.zoo):
+        return      # the substituted raw tree divides by zero
+    assert_reduced_form_of(r, expected)
 
 
 def assert_canonical(r):
