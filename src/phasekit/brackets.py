@@ -283,31 +283,37 @@ def classify_constraints(constraints: Sequence[PhaseExpr], chart: Chart,
     )
 
 
-def _symbolic_inverse(delta: Sequence[Sequence[PhaseExpr]]
-                      ) -> Optional[Tuple[Tuple[PhaseExpr, ...], ...]]:
-    n = len(delta)
-    aug: List[List[Rat]] = []
-    for i in range(n):
-        row = [to_rat(delta[i][j]) for j in range(n)]
-        row += [Rat.const(1 if k == i else 0) for k in range(n)]
-        aug.append(row)
+def _eliminate(rows: List[List[Rat]]) -> Rat:
+    """Gauss-Jordan elimination over ``Rat`` on the leading square block
+    of ``rows`` (n rows, at least n columns), in place; returns the
+    block's determinant, the signed product of the pivots.  A regular
+    block ends as the identity, with the block's inverse applied to the
+    columns right of it; a singular one stops at the first column without
+    a pivot and returns zero."""
+    n = len(rows)
+    det = Rat.const(1)
     for col in range(n):
         pivot = next(
-            (r for r in range(col, n) if not aug[r][col].is_zero()), None
+            (r for r in range(col, n) if not rows[r][col].is_zero()), None
         )
         if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = aug[col][col]
-        aug[col] = [entry / inv_p for entry in aug[col]]
+            return Rat.const(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        p = rows[col][col]
+        det = det * p
+        # left of col the pivot row is zero, and col itself ends as 1 here
+        # and 0 in every other row
+        rows[col][col:] = [Rat.const(1)] + [e / p for e in rows[col][col + 1:]]
         for r in range(n):
-            if r == col or aug[r][col].is_zero():
+            factor = rows[r][col]
+            if r == col or factor.is_zero():
                 continue
-            factor = aug[r][col]
-            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(
-        tuple(from_rat(aug[i][n + j]) for j in range(n)) for i in range(n)
-    )
+            rows[r][col:] = [Rat.const(0)] + [
+                a - factor * b
+                for a, b in zip(rows[r][col + 1:], rows[col][col + 1:])]
+    return det
 
 
 def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
@@ -324,7 +330,13 @@ def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
                 raise BracketError("constraint matrix lost antisymmetry")
     inverse = None
     if not classification.first_class:
-        inverse = _symbolic_inverse(delta)
+        n = len(delta)
+        rows = [[to_rat(e) for e in row]
+                + [Rat.const(1 if k == i else 0) for k in range(n)]
+                for i, row in enumerate(delta)]
+        if not _eliminate(rows).is_zero():
+            inverse = tuple(tuple(from_rat(e) for e in row[n:])
+                            for row in rows)
     return ConstraintMatrix(
         constraints=classification.constraints,
         delta=delta,

@@ -87,7 +87,6 @@ from .dynamics import (
 )
 from .expr import (
     AtomRegistry,
-    ConstantProfile,
     EvalError,
     ExprError,
     ExprProfile,
@@ -172,13 +171,17 @@ def load_config(path: Path) -> Mapping:
 
 
 def _number(section, key, default, where, positive=False, integer=False):
-    """Finite float (int with ``integer``); ``where=None``: a top-level key."""
+    """Finite float (int with ``integer``); ``where=None``: a top-level key.
+    YAML booleans (``true``, ``yes``) are not numbers."""
     name = key if where is None else f"{where}.{key}"
     raw = section.get(key, default)
+    not_a_number = ConfigError(f"{name}: expected a number, got {raw!r}")
+    if isinstance(raw, bool):
+        raise not_a_number
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected a number, got {raw!r}")
+        raise not_a_number
     if not math.isfinite(value):
         raise ConfigError(f"{name}: must be finite, got {raw!r}")
     if positive and value <= 0:
@@ -241,7 +244,10 @@ def scenario_from_config(cfg: Mapping, label: str,
             raise ConfigError(f"gauge.tau: empty span {list(tau)}")
         if t[1] <= t[0]:
             raise ConfigError(f"gauge.t: empty span {list(t)}")
-        gauge = GaugeSpec(window=(tau[0], tau[1], t[0], t[1]))
+        try:
+            gauge = GaugeSpec(window=(tau[0], tau[1], t[0], t[1]))
+        except ConstraintError as exc:
+            raise ConfigError(f"gauge: {exc}")
 
     isec = _section(cfg, "integrator")
     method = str(isec.get("method", "rk45"))
@@ -287,8 +293,8 @@ def scenario_from_config(cfg: Mapping, label: str,
 
 
 def _profile_from(section, where: str) -> Profile:
-    if isinstance(section, (int, float)) and not isinstance(section, bool):
-        return ConstantProfile(_number({where: section}, where, None, None))
+    if isinstance(section, (int, float)):   # a bool fails in _number
+        return ExprProfile(num(_number({where: section}, where, None, None)))
     if not isinstance(section, Mapping) or len(section) != 1:
         raise ConfigError(
             f"{where}: expected a number or one of "
@@ -296,7 +302,7 @@ def _profile_from(section, where: str) -> Profile:
         )
     (kind, value), = section.items()
     if kind == "constant":
-        return ConstantProfile(_number(section, kind, None, where))
+        return ExprProfile(num(_number(section, kind, None, where)))
     if kind == "expression":
         try:
             return ExprProfile(parse(str(value), ("t",)))
@@ -617,7 +623,8 @@ def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
     texts = {k: str(section[k]) for k in section}
     unknown = set(texts) - {"a1", "a2", "b", "d1", "d2", "g"}
     if unknown:
-        raise ConfigError(f"transform: unknown keys {sorted(unknown)}")
+        raise ConfigError(
+            f"transform: unknown keys {sorted(unknown, key=str)}")
     for required in ("a1", "a2", "b"):
         if required not in texts:
             raise ConfigError(f"transform.{required}: required")

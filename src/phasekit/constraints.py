@@ -9,6 +9,7 @@ constraint surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -17,16 +18,15 @@ import numpy as np
 
 from . import brackets as _brackets
 from .brackets import ConstraintClassification, classify_constraints, poisson
-from ._poly import Rat
 from .expr import (
     AtomRegistry,
     Chart,
-    ConstantProfile,
     DampingFactorProfile,
-    ExponentialProfile,
+    ExprProfile,
     Mul,
     PhaseExpr,
     _finite,
+    antiderivative,
     as_expr,
     atom,
     diff,
@@ -116,11 +116,14 @@ class GaugeSpec:
     window: Tuple[float, float, float, float]
 
     def __post_init__(self):
-        tau1, tau2, t1, t2 = self.window
+        tau1, tau2 = self.window[:2]
         if tau2 <= tau1:
             raise ConstraintError("gauge window needs tau2 > tau1")
-        if t2 == t1:
-            raise ConstraintError("gauge window needs t2 != t1")
+        # t2 == t1 gives a zero slope
+        if not math.isfinite(self.lambda_value) or self.lambda_value == 0:
+            raise ConstraintError(
+                f"gauge window slope (t2 - t1)/(tau2 - tau1) = "
+                f"{self.lambda_value} is not a finite nonzero float")
 
     @property
     def lambda_value(self) -> float:
@@ -158,26 +161,6 @@ class ConstraintSet:
 # Hessian
 # --------------------------------------------------------------------------
 
-def _det(rows: List[List[Rat]]) -> Rat:
-    n = len(rows)
-    if n == 0:
-        return Rat.const(1)
-    if n == 1:
-        return rows[0][0]
-    total = Rat.const(0)
-    sign = 1
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry.is_zero():
-            minor = [
-                [rows[i][k] for k in range(n) if k != j] for i in range(1, n)
-            ]
-            term = entry * _det(minor)
-            total = total + (term if sign > 0 else Rat.const(-1) * term)
-        sign = -sign
-    return total
-
-
 def hessian(model: LagrangianModel) -> Hessian:
     """Velocity Hessian of the Lagrangian and its exact determinant."""
     n = len(model.velocities)
@@ -190,9 +173,9 @@ def hessian(model: LagrangianModel) -> Hessian:
         for j in range(i + 1, n):
             if not is_zero_expr(matrix[i][j] - matrix[j][i]):
                 raise ConstraintError("velocity Hessian is not symmetric")
-    det = from_rat(_det([[to_rat(e) for e in row] for row in matrix]))
+    det = _brackets._eliminate([[to_rat(e) for e in row] for row in matrix])
     return Hessian(
-        matrix=tuple(tuple(row) for row in matrix), determinant=det
+        matrix=tuple(tuple(row) for row in matrix), determinant=from_rat(det)
     )
 
 
@@ -415,18 +398,23 @@ def oscillator_registry(friction_profile=None, frequency_profile=None,
 
     ``w`` is the (possibly time-dependent) angular frequency, ``eta_fric``
     the friction coefficient, and ``f`` the accumulated damping factor
-    exp(-∫₀ᵗ eta_fric); f carries the derivative rule f' = -eta_fric·f, and
-    its profile is built from the friction's: 1 for no friction, an
-    exponential for a constant one, else a ``DampingFactorProfile``, which
-    needs ``span`` when the friction has no closed-form integral (a
-    ``ValueError`` otherwise).
+    exp(-∫₀ᵗ eta_fric); f carries the derivative rule f' = -eta_fric·f.
+    This is the one place that chooses f's profile: exp(-F) as an
+    ``ExprProfile`` when the friction is an ``ExprProfile`` with no
+    exponent whose antiderivative F exists (1 for no friction), else a
+    ``DampingFactorProfile`` over ``span`` (a ``ValueError`` without one).
     """
     damping = None
-    if isinstance(friction_profile, ConstantProfile):
-        rate = friction_profile.value(0, 0.0)
-        damping = (ConstantProfile(1.0) if rate == 0.0
-                   else ExponentialProfile(rate=-rate))
+    exact = None
+    if (isinstance(friction_profile, ExprProfile)
+            and is_zero_expr(friction_profile.exponent)):
+        exact = antiderivative(friction_profile.expression, "t")
+    if exact is not None:
+        damping = ExprProfile(num(1), -exact)
     elif friction_profile is not None:
+        if span is None:
+            raise ValueError("a friction with no closed-form integral "
+                             "needs a span")
         damping = DampingFactorProfile(friction_profile, span)
     reg = AtomRegistry()
     reg.register("w", profile=frequency_profile)

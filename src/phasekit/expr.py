@@ -9,7 +9,10 @@ semantic equality.  A canonical node carries its ``Rat`` (so arithmetic on
 canonical operands is one ``Rat`` operation), and ``diff`` and ``subst``
 work on that normal form, not on the tree.  Floating point enters only
 through ``lower``, which compiles expressions to Python code;
-``eval_expr`` is its one-shot form.
+``eval_expr`` is its one-shot form.  A closed-form coefficient profile is
+one class, ``ExprProfile``, g(t)·exp(e(t)) with exact derivatives, and
+``lower`` writes it into the code of the expressions that use it, so its
+numbers come from the same path as theirs.
 """
 
 from __future__ import annotations
@@ -414,24 +417,6 @@ class Profile:
         raise NotImplementedError
 
 
-class ConstantProfile(Profile):
-    def __init__(self, value: float):
-        self._value = float(value)
-
-    def value(self, order: int, t: float) -> float:
-        return self._value if order == 0 else 0.0
-
-
-class ExponentialProfile(Profile):
-    """exp(rate * t); every derivative order is closed-form."""
-
-    def __init__(self, rate: float):
-        self.rate = float(rate)
-
-    def value(self, order: int, t: float) -> float:
-        return self.rate ** order * math.exp(self.rate * t)
-
-
 class TabulatedProfile(Profile):
     """Cubic interpolation of sampled values; derivatives up to order 2."""
 
@@ -459,45 +444,49 @@ class TabulatedProfile(Profile):
 
 
 class ExprProfile(Profile):
-    """Profile backed by an expression of the time variable ``t``."""
+    """g(t)·exp(e(t)) for expressions g and e of the time variable ``t``.
 
-    def __init__(self, expression: PhaseExpr):
+    The order-k derivative is g_k·exp(e), with g_0 = g and
+    g_(k+1) = g_k' + g_k·e', each exact and built once.  ``lower`` writes
+    g_k and e into the code of any expression that holds the atom, and
+    ``value`` is that same code for the atom alone.
+    """
+
+    def __init__(self, expression: PhaseExpr, exponent: PhaseExpr = ZERO):
         self.expression = simplify(expression)
-        self._last = self.expression
+        self.exponent = simplify(exponent)
+        self._factors = [self.expression]
         self._lowered: List[Callable] = []   # one per derivative order
+
+    def factor(self, order: int) -> PhaseExpr:
+        """g_order, the factor before exp(e) in the derivative of that order."""
+        while len(self._factors) <= order:
+            g = self._factors[-1]
+            self._factors.append(
+                simplify(diff(g, "t") + g * diff(self.exponent, "t")))
+        return self._factors[order]
 
     def value(self, order: int, t: float) -> float:
         while len(self._lowered) <= order:
-            e = diff(self._last, "t") if self._lowered else self._last
-            self._lowered.append(lower([e], ()))
-            self._last = e
+            reg = AtomRegistry()
+            reg.register("g", profile=self)
+            self._lowered.append(lower([atom("g", "t", len(self._lowered))],
+                                       (), reg))
         return _finite(self._lowered[order], float(t), ())[0]
 
 
 class DampingFactorProfile(Profile):
-    """f(t) = exp(-int_0^t eta) for a friction profile eta(t).
+    """f(t) = exp(-int_0^t eta) for a friction profile eta(t) by spline.
 
-    An expression friction whose normal form has a denominator free of t
-    has the exact antiderivative F (``antiderivative``), lowered once:
-    f(t) = exp(-(F(t) - F(0))) at every t, and ``span`` is not used.
-    Any other eta (a table, or t in the denominator) has no closed form:
-    the exponent is then a cubic-spline antiderivative of eta sampled at
-    4097 points over ``span`` widened by 1 % + 1e-6 and t = 0, clamped to a
-    table's own span, which must cover t = 0.
+    The exponent is a cubic-spline antiderivative of eta sampled at 4097
+    points over ``span`` widened by 1 % + 1e-6 and t = 0, clamped to a
+    table's own span, which must cover t = 0.  A friction whose integral
+    has a closed form needs none of this: ``oscillator_registry`` gives f
+    an ``ExprProfile`` then.
     """
 
-    def __init__(self, friction: Profile, span=None):
+    def __init__(self, friction: Profile, span):
         self.friction = friction
-        exact = (antiderivative(friction.expression, "t")
-                 if isinstance(friction, ExprProfile) else None)
-        if exact is not None:
-            self._exponent = lower([exact], ())
-            self._offset = self._exponent(0.0, ())[0]
-            self._lo, self._hi = -math.inf, math.inf
-            return
-        if span is None:
-            raise ValueError("a friction with no closed-form integral "
-                             "needs a span")
         lo, hi = float(span[0]), float(span[1])
         if hi <= lo:
             raise ValueError("empty span")
@@ -511,15 +500,14 @@ class DampingFactorProfile(Profile):
         from scipy.interpolate import CubicSpline
         ts = np.linspace(lo, hi, 4097)
         values = [friction.value(0, float(t)) for t in ts]
-        accumulated = CubicSpline(ts, values).antiderivative()
-        self._exponent = lambda t, y: (float(accumulated(t)),)
-        self._offset = self._exponent(0.0, ())[0]
+        self._accumulated = CubicSpline(ts, values).antiderivative()
+        self._offset = float(self._accumulated(0.0))
         self._lo, self._hi = lo, hi
 
     def value(self, order: int, t: float) -> float:
         if t < self._lo - 1e-12 or t > self._hi + 1e-12:
             raise EvalError(f"time {t} outside damping-factor span")
-        f = math.exp(self._offset - self._exponent(t, ())[0])
+        f = math.exp(self._offset - float(self._accumulated(t)))
         if order == 0:
             return f
         eta = self.friction.value(0, t)
@@ -593,14 +581,14 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
     involved.  Any other variable must be a key of ``params`` (its value is
     built into the code) or be named ``time_var`` (bound to ``t``; ``None``
     binds nothing).  Any other atom is evaluated once per call of ``f`` for
-    each distinct atom: a ``ConstantProfile`` is written in as a literal, an
-    ``ExponentialProfile`` as ``(rate) ** order * exp((rate) * arg)``, the
-    same arithmetic as its ``value``, and any other profile, or one whose
-    value or rate is not finite, is called.  Every operation gets its own
-    assignment, so deep trees never meet the parser's nesting limit.  The
-    arithmetic is plain Python: a pole raises ``ZeroDivisionError`` and an
-    overflowing power ``OverflowError``; a non-finite parameter raises
-    ``NonFiniteError`` here.
+    each distinct atom: an ``ExprProfile`` is written into the code, its
+    factor g_k with ``t`` bound to the atom's argument, times ``exp`` of its
+    exponent when that is not zero; any other profile is called.  Every
+    operation gets its own assignment, so deep trees never meet the
+    parser's nesting limit.  The arithmetic is plain Python: a pole raises
+    ``ZeroDivisionError`` and an overflowing power or ``exp``
+    ``OverflowError``; a constant or parameter that is not a finite float
+    raises ``NonFiniteError`` here.
     """
     slots = {key: i for i, key in enumerate(inputs)}
     params = params or {}
@@ -637,36 +625,42 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
         if registry is None:
             raise EvalError(f"no registry supplied for atom '{e.name}'")
         p = registry.profile(e.name)
-        # a non-finite value or rate is left to the call, which returns it
-        if type(p) is ConstantProfile and math.isfinite(p.value(0, 0.0)):
-            return constant(p.value(e.order, 0.0))
-        if type(p) is ExponentialProfile and math.isfinite(p.rate):
-            rate = constant(p.rate)
-            return assign(f"{rate} ** {e.order} * _exp({rate} * "
-                          f"{symbol(e.arg)})")
+        if isinstance(p, ExprProfile):
+            g = emit(p.factor(e.order), e.arg)
+            if is_zero_expr(p.exponent):
+                return g
+            return assign(f"{g} * _exp({emit(p.exponent, e.arg)})")
         fn = f"_profile_{len(glb)}"
         glb[fn] = p.value
         return assign(f"{fn}({e.order}, {symbol(e.arg)})")
 
-    def emit(e: PhaseExpr) -> str:
+    def emit(e: PhaseExpr, arg: Optional[str] = None) -> str:
+        # inside a profile's expression, ``t`` stands for the variable ``arg``
         if isinstance(e, Num):
             return constant(e.value)
         if isinstance(e, Sym):
-            return symbol(e.name)
+            if arg is None:
+                return symbol(e.name)
+            if e.name == "t":
+                return symbol(arg)
+            raise UnboundVariableError(f"variable '{e.name}' is not bound")
         if isinstance(e, Atom):
+            if arg is not None:
+                raise EvalError(f"atom '{e.name}' in a profile expression")
             if e in slots:
                 return f"y[{slots[e]}]"
             if e not in atom_calls:
                 atom_calls[e] = profile(e)
             return atom_calls[e]
         if isinstance(e, Add):
-            return assign(" + ".join(emit(t) for t in e.terms) or "0.0")
+            return assign(" + ".join(emit(t, arg) for t in e.terms) or "0.0")
         if isinstance(e, Mul):
-            return assign(" * ".join(emit(f) for f in e.factors) or "1.0")
+            return assign(" * ".join(emit(f, arg) for f in e.factors)
+                          or "1.0")
         if isinstance(e, Pow):
-            return assign(f"{emit(e.base)} ** {e.exp}")
+            return assign(f"{emit(e.base, arg)} ** {e.exp}")
         if isinstance(e, Div):
-            return assign(f"{emit(e.num)} / {emit(e.den)}")
+            return assign(f"{emit(e.num, arg)} / {emit(e.den, arg)}")
         raise TypeError(f"not a PhaseExpr node: {e!r}")
 
     results = [emit(e) for e in exprs]

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from phasekit import ConstantProfile, dynamics, oscillator_registry
+from phasekit import ExprProfile, Profile, dynamics, num, oscillator_registry
 
 # criterion number -> (passed, detail), filled by test_acceptance.py
 ACCEPTANCE: Dict[int, Tuple[bool, str]] = {}
@@ -43,7 +43,17 @@ def deadline(seconds: float):
 
 def constant_registry(omega: float = 2.0, eta: float = 0.0):
     """Constant-coefficient oscillator atoms; f = exp(-eta*t)."""
-    return oscillator_registry(ConstantProfile(eta), ConstantProfile(omega))
+    return oscillator_registry(ExprProfile(num(eta)), ExprProfile(num(omega)))
+
+
+class Fixed(Profile):
+    """A profile that is called, not written in: one value everywhere."""
+
+    def __init__(self, fixed):
+        self.fixed = fixed
+
+    def value(self, order, t):
+        return self.fixed
 
 
 def count_rhs_calls(monkeypatch):

@@ -210,6 +210,23 @@ def test_empty_spans_exit_2(tmp_path, capsys):
     assert code == 2 and "gauge.tau: empty span" in out
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("tau, t, slope", [
+    ([0.0, 1e-310], [0.0, 10.0], "inf"),     # overflows
+    ([0.0, 3.0], [0.0, 5e-324], "0.0"),      # underflows
+])
+def test_gauge_slope_must_be_a_finite_nonzero_float(tmp_path, capsys,
+                                                    command, tau, t, slope):
+    cfg = short_oscillator()
+    cfg["gauge"] = {"tau": tau, "t": t}
+    path = write_config(tmp_path, "slope.yaml", cfg)
+    code, out = run_cli(capsys, command, str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == (
+        f"error: gauge: gauge window slope (t2 - t1)/(tau2 - tau1) = "
+        f"{slope} is not a finite nonzero float")
+
+
 def test_bad_profile_section_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, "bad.yaml",
                         {"profiles": {"omega": {"bogus": 1.0}}})
@@ -238,6 +255,35 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, section, key, value):
     assert code == 2
     assert f"error: {section}.{key}: must be finite" in out
     assert not (tmp_path / "simulate.json").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("initial", "x1", "true"), ("parameters", "m", "yes"),
+    ("integrator", "max_step", "on"), ("ermakov", "rho0", "false"),
+])
+def test_yaml_booleans_are_not_numbers(tmp_path, capsys, section, key,
+                                       value):
+    cfg = short_oscillator()
+    cfg.setdefault(section, {})[key] = "BOOL"
+    path = tmp_path / "bool.yaml"
+    path.write_text(yaml.safe_dump(cfg).replace("BOOL", value))
+    code, out = run_cli(capsys, "simulate", str(path), "--out", str(tmp_path))
+    assert code == 2
+    parsed = yaml.safe_load(value)
+    assert out.strip() == (f"error: {section}.{key}: expected a number, "
+                           f"got {parsed!r}")
+
+
+@pytest.mark.parametrize("section, where", [
+    ({"constant": True}, "profiles.omega.constant"), (True, "profiles.omega"),
+])
+def test_a_boolean_profile_exits_2(tmp_path, capsys, section, where):
+    cfg = short_oscillator()
+    cfg["profiles"] = {"omega": section}
+    path = write_config(tmp_path, "bool.yaml", cfg)
+    code, out = run_cli(capsys, "analyze", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == f"error: {where}: expected a number, got True"
 
 
 def test_fractional_run_points_exit_2(tmp_path, capsys):
@@ -565,6 +611,55 @@ def test_profile_sections_end_in_an_exit_code(tmp_path_factory, omega, eta):
         json.loads(summary.read_text())
 
 
+# any integrator:/gauge: section ends in an exit code too; max_step and the
+# windows stay small or far past MAX_STEPS, so no example steps for long
+def mostly(valid, odd):
+    """Four draws in five from ``valid``, else from ``odd``; a plain one_of
+    flattens the branches of ``odd`` and would draw junk most of the time."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else odd)
+
+
+methods = mostly(st.sampled_from(["rk45", "rk4"]),
+                 st.one_of(st.sampled_from(["euler", "RK4"]), junk))
+tolerances = mostly(st.sampled_from([1e-10, 1e-6, 1e-3]), st.one_of(
+    st.sampled_from([1e-300, 1e300, 0.0, -1e-8]), numbers, junk))
+max_steps = mostly(st.floats(0.05, 2.0),
+                   st.one_of(st.sampled_from([1e-9, 0.0]), numbers, junk))
+integrator_sections = mostly(st.fixed_dictionaries({}, optional={
+    "method": methods, "abs_tol": tolerances, "rel_tol": tolerances,
+    "max_step": max_steps}), junk)
+small = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+windows = mostly(
+    st.lists(small, min_size=2, max_size=2, unique=True).map(sorted),
+    st.one_of(st.lists(small, min_size=2, max_size=2),
+              st.lists(numbers, max_size=3), junk))
+gauge_sections = mostly(
+    st.fixed_dictionaries({"tau": windows, "t": windows}),
+    st.one_of(st.fixed_dictionaries({}, optional={"tau": windows,
+                                                  "t": windows}), junk))
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["simulate", "invariant", "analyze"]),
+       integrator=integrator_sections, gauge=gauge_sections)
+def test_integrator_and_gauge_sections_end_in_an_exit_code(
+        tmp_path_factory, command, integrator, gauge):
+    cfg = short_oscillator(t_end=0.5, points=5)
+    cfg["integrator"] = integrator
+    cfg["gauge"] = gauge
+    work = tmp_path_factory.mktemp("sections")
+    path = write_config(work, "sections.yaml", cfg)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main([command, str(path), "--out", str(work),
+                         "--points", "5", "--jobs", "1"])
+    text = out.getvalue().strip()
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert text.startswith("error: ") and "\n" not in text
+    for summary in work.glob("*.json"):
+        json.loads(summary.read_text())
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -764,6 +859,20 @@ def test_degenerate_transform_expression_exits_2(tmp_path, capsys, cfg,
     assert out.strip() == f"error: {where}: division by a zero expression"
 
 
+@pytest.mark.parametrize("keys, reason", [
+    ("zz: y", "['zz']"),
+    # an int key next to a string one: the two do not sort together
+    ("1: x, zz: y", "[1, 'zz']"),
+])
+def test_unknown_transform_keys_exit_2(tmp_path, capsys, keys, reason):
+    path = tmp_path / "unknown.yaml"
+    path.write_text(f"transform: {{a1: Q1, a2: Q2, b: T, {keys}}}\n")
+    code, out = run_cli(capsys, "transform-check", str(path),
+                        "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == f"error: transform: unknown keys {reason}"
+
+
 def test_points_flag_overrides_sample_count(tmp_path, capsys):
     path = write_config(tmp_path, "identity.yaml",
                         {"transform": {"a1": "Q1", "a2": "Q2", "b": "T"}})
@@ -800,6 +909,7 @@ def test_points_flag_overrides_config_points(tmp_path, capsys):
     ("seed", "abc", "seed: expected a number, got 'abc'"),
     ("seed", 1.5, "seed: expected an integer, got 1.5"),
     ("seed", -1, "seed: must be at least 0, got -1"),
+    ("seed", True, "seed: expected a number, got True"),
     ("points", 0, "points: must be at least 1, got 0"),
     ("points", 10_000_000_000_000,
      "points: must be at most 100000, got 10000000000000"),

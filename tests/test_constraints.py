@@ -5,12 +5,12 @@ import pytest
 
 from phasekit import (
     Chart,
-    ConstantProfile,
     ConstraintError,
     ConstraintSet,
     EvalError,
     ExprProfile,
     GaugeSpec,
+    LagrangianModel,
     TabulatedProfile,
     classify,
     equivalent,
@@ -68,6 +68,16 @@ def test_original_hessian_is_diagonal(original):
         for j in range(2):
             entry = h.matrix[i][j]
             assert equivalent(entry, diag) if i == j else is_zero_expr(entry)
+
+
+def test_hessian_determinant_keeps_the_sign_of_a_pivot_swap():
+    # the (0, 0) entry is zero, so elimination swaps the first two rows
+    names = ["x", "y", "z", "x_dot", "y_dot", "z_dot", "q", "m"]
+    model = LagrangianModel(
+        coordinates=("x", "y", "z"), velocities=("x_dot", "y_dot", "z_dot"),
+        lagrangian=parse("q*x_dot*y_dot + z_dot^2/(2*m) - x*y*z", names))
+    assert equivalent(hessian(model).determinant,
+                      parse("-q^2/m", names))
 
 
 def test_extended_hessian_determinant_vanishes(extended):
@@ -235,8 +245,8 @@ def test_classify_attaches_classification(registry, extended):
 
 _TABLE_TIMES = np.linspace(0.0, 10.0, 11)
 FRICTIONS = {
-    "none": ConstantProfile(0.0),
-    "constant": ConstantProfile(0.37),
+    "none": ExprProfile(num(0)),
+    "constant": ExprProfile(num(0.37)),
     "linear": ExprProfile(parse("0.1 + 0.02*t", ["t"])),
     "table": TabulatedProfile(_TABLE_TIMES,
                               0.1 + 0.05 * np.sin(_TABLE_TIMES)),
@@ -247,7 +257,7 @@ FRICTIONS = {
 def test_registry_damping_factor_obeys_its_derivative_rule(name):
     # f(0) = 1 and f' = -eta f, the rule diff applies to the atom f
     eta = FRICTIONS[name]
-    f = oscillator_registry(eta, ConstantProfile(2.0), (0.0, 10.0)).profile("f")
+    f = oscillator_registry(eta, ExprProfile(num(2)), (0.0, 10.0)).profile("f")
     assert f.value(0, 0.0) == 1.0
     h = 1e-4
     for t in (0.5, 3.7, 9.2):

@@ -9,10 +9,10 @@ import pytest
 
 from phasekit import (
     AtomRegistry,
-    ConstantProfile,
     ConstraintSet,
     ConstraintViolationError,
     DynamicsError,
+    ErmakovConfig,
     ExprProfile,
     GaugeSpec,
     IntegratorPolicy,
@@ -36,9 +36,12 @@ from phasekit import (
     sym,
     write_csv,
 )
+from phasekit import cli
 from phasekit.dynamics import _DP_A, _DP_C, _DP_E, _steppers, compile_rhs
+from phasekit.invariants import ermakov_equations
 
-from _support import constant_registry, count_rhs_calls, damped_oracle
+from _support import (Fixed, constant_registry, count_rhs_calls,
+                      damped_oracle)
 
 TIGHT = IntegratorPolicy(method="rk45", abs_tol=1e-12, rel_tol=1e-12,
                          max_step=0.05)
@@ -237,10 +240,46 @@ def test_pole_in_the_rhs_ends_cleanly(method):
 
 def test_non_finite_profile_ends_cleanly():
     registry = AtomRegistry()
-    registry.register("g", profile=ConstantProfile(math.inf))
+    registry.register("g", profile=Fixed(math.inf))
     eom = {"x": parse("g(t) * x", ["x", "t"], registry)}
     with pytest.raises(NonFiniteStateError, match="state became non-finite"):
         integrate(eom, {"x": 1.0}, (0.0, 1.0), registry=registry, points=3)
+
+
+def test_pole_in_a_closed_form_profile_ends_cleanly():
+    # w = 1/(1 - t) is written into the right-hand side, and rk4's last
+    # stage over (0.5, 1) lands on the pole at t = 1
+    registry = oscillator_registry(ExprProfile(num(0)),
+                                   ExprProfile(parse("1/(1-t)", ["t"])))
+    _, eom = original_equations(registry)
+    with pytest.raises(NonFiniteStateError,
+                       match="right-hand side undefined"):
+        integrate(eom, {"x1": 1.0, "x2": 0.0, "p1": 0.0, "p2": 0.0},
+                  (0.0, 1.0), IntegratorPolicy(method="rk4", max_step=0.5),
+                  registry, {"m": 1.0}, points=3)
+
+
+@pytest.mark.parametrize("omega, eta", [
+    (0.9, {"constant": 0.2}),
+    ({"constant": 1.5}, {"expression": "0.1 + 0.02*t"}),
+    ({"expression": "2 + 0.1*t - t^2/50"}, 0.0),
+])
+def test_closed_form_profiles_leave_no_profile_call(omega, eta):
+    # number, constant: and polynomial expression: sections: every atom of
+    # the original, extended and auxiliary equations is written in
+    scenario = cli.scenario_from_config(
+        {"profiles": {"omega": omega, "eta_fric": eta}}, "inline")
+    registry = cli.build_registry(scenario, scenario.span)
+    _, original = original_equations(registry)
+    ermakov = {**original, **ermakov_equations(
+        ErmakovConfig(registry, scenario.span, m=1.0, nu=1.0))}
+    params = {"m": 1.0, "nu": 1.0, "lam": 1.0}
+    for eom, time_var in ((original, "t"), (extended_equations(), "tau"),
+                          (ermakov, "t")):
+        rhs = compile_rhs(eom, list(eom), registry, params, time_var)
+        assert not [name for name in rhs.__globals__
+                    if name.startswith("_profile_")]
+        assert all(map(math.isfinite, rhs(0.5, [0.5] * len(eom))))
 
 
 def test_missing_initial_variable():

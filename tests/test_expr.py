@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from phasekit import (
     AtomRegistry,
-    ConstantProfile,
     DampingFactorProfile,
     EvalError,
-    ExponentialProfile,
     ExprProfile,
     NonFiniteError,
     ParseError,
@@ -30,6 +28,7 @@ from phasekit import (
     is_zero_expr,
     lower,
     num,
+    oscillator_registry,
     parse,
     render,
     simplify,
@@ -40,7 +39,7 @@ from phasekit.expr import (Add, Atom, Div, ExprError, Mul, Num, Pow,
                            SubstitutionError, Sym, _atom_derivative, atoms_in,
                            from_rat, to_rat)
 
-from _support import constant_registry
+from _support import Fixed, constant_registry
 
 VARS = ("x", "y", "z")
 
@@ -348,11 +347,16 @@ def test_eval_expr_binds_atoms_directly():
     assert value == pytest.approx(6.0)
 
 
+def exponential(rate):
+    return ExprProfile(num(1), num(rate) * sym("t"))
+
+
 @pytest.mark.parametrize("argument", ["t", "t_tau"])
 def test_lower_inlines_closed_form_profiles_bit_for_bit(argument):
-    # -0.1 catches a rate emitted without parentheses: -0.1 ** 2 is -0.01
-    profiles = {"c": ConstantProfile(-2.5), "e1": ExponentialProfile(-0.1),
-                "e2": ExponentialProfile(-1.7), "e3": ExponentialProfile(0.3)}
+    # -0.1 catches a constant emitted without parentheses: -0.1 ** 2 is -0.01
+    rates = {"e1": -0.1, "e2": -1.7, "e3": 0.3}
+    profiles = {"c": ExprProfile(num(-2.5)),
+                **{name: exponential(rate) for name, rate in rates.items()}}
     reg = AtomRegistry()
     for name, profile in profiles.items():
         reg.register(name, profile=profile)
@@ -365,18 +369,34 @@ def test_lower_inlines_closed_form_profiles_bit_for_bit(argument):
         values = fn(t, ()) if argument == "t" else fn(None, (t,))
         assert values == tuple(profiles[a.name].value(a.order, t)
                                for a in atoms)
+        closed = [(-2.5 if a.order == 0 else 0.0) if a.name == "c"
+                  else rates[a.name] ** a.order * math.exp(rates[a.name] * t)
+                  for a in atoms]
+        assert values == pytest.approx(closed, rel=1e-15)
 
 
 @pytest.mark.parametrize("profile", [
-    ConstantProfile(math.inf), ConstantProfile(math.nan),
-    ExponentialProfile(math.inf), ExponentialProfile(math.nan)])
+    Fixed(math.inf), Fixed(math.nan), Fixed(-math.inf), Fixed(1e308)])
 def test_non_finite_profiles_raise_non_finite_error(profile):
-    # such a profile is called, not written in: "(inf)" is not Python
+    # the called value, or its product with x, is not finite
     reg = AtomRegistry()
     reg.register("g", profile=profile)
     with pytest.raises(NonFiniteError):
-        eval_expr(parse("g(t) * x", ["x", "t"], reg), {"x": 1.0}, time=0.5,
+        eval_expr(parse("g(t) * x", ["x", "t"], reg), {"x": 10.0}, time=0.5,
                   registry=reg)
+
+
+def test_closed_form_profile_overflow_raises_non_finite_error():
+    reg = AtomRegistry()
+    reg.register("g", profile=exponential(1000))
+    e = parse("g(t) * x", ["x", "t"], reg)
+    assert eval_expr(e, {"x": 1.0}, time=0.5, registry=reg) == \
+        pytest.approx(math.exp(500), rel=1e-15)
+    with pytest.raises(NonFiniteError, match="overflow during evaluation"):
+        eval_expr(e, {"x": 1.0}, time=1.0, registry=reg)
+    # an exact constant past the float range fails where it is written in
+    with pytest.raises(NonFiniteError, match="overflows a float"):
+        ExprProfile(num(10 ** 400)).value(0, 0.0)
 
 
 def test_lower_rejects_a_non_finite_parameter():
@@ -453,16 +473,21 @@ def test_free_symbols_sees_atom_arguments():
 # ---------------------------------------------------------------------------
 
 def test_constant_profile_orders():
-    p = ConstantProfile(2.5)
+    p = ExprProfile(num(2.5))
     assert p.value(0, 1.7) == 2.5
     assert p.value(1, 1.7) == 0.0
 
 
 def test_exponential_profile_derivatives():
-    p = ExponentialProfile(rate=-0.3)
+    p = exponential(-0.3)
     for order in range(3):
         assert p.value(order, 1.1) == pytest.approx(
-            (-0.3) ** order * math.exp(-0.3 * 1.1))
+            (-0.3) ** order * math.exp(-0.3 * 1.1), rel=1e-15)
+    # t·exp(-0.3 t): g_1 = 1 - 0.3 t and g_2 = -0.6 + 0.09 t
+    p = ExprProfile(sym("t"), num(-0.3) * sym("t"))
+    for order, g in enumerate((1.1, 1 - 0.33, -0.6 + 0.099)):
+        assert p.value(order, 1.1) == pytest.approx(
+            g * math.exp(-0.3 * 1.1), rel=1e-14)
 
 
 def test_tabulated_profile_matches_dense_samples():
@@ -483,19 +508,26 @@ def test_expr_profile_evaluates_expression():
     assert p.value(1, 3.0) == pytest.approx(6.0)
 
 
+def damping_factor(friction, span=None):
+    return oscillator_registry(friction, ExprProfile(num(2)),
+                               span).profile("f")
+
+
 def test_damping_factor_matches_closed_form():
     # constant friction: f(t) = exp(-eta*t)
     eta = 0.4
-    p = DampingFactorProfile(ExprProfile(parse("0.4", ["t"])), (0.0, 10.0))
+    p = damping_factor(ExprProfile(parse("0.4", ["t"])), (0.0, 10.0))
+    assert isinstance(p, ExprProfile)
     for t in (0.0, 1.7, 9.5):
-        assert p.value(0, t) == pytest.approx(math.exp(-eta * t), rel=1e-9)
+        assert p.value(0, t) == pytest.approx(math.exp(-eta * t), rel=1e-15)
         assert p.value(1, t) == pytest.approx(
-            -eta * math.exp(-eta * t), rel=1e-7)
+            -eta * math.exp(-eta * t), rel=1e-15)
 
 
 def test_damping_factor_is_exact_for_polynomial_friction():
     # eta = 0.1 + 0.02 t integrates in closed form: no span, no spline
-    p = DampingFactorProfile(ExprProfile(parse("0.1 + 0.02*t", ["t"])))
+    p = damping_factor(ExprProfile(parse("0.1 + 0.02*t", ["t"])))
+    assert isinstance(p, ExprProfile)
     for t in np.linspace(0.0, 10.0, 41):
         f = math.exp(-(0.1 * t + 0.01 * t * t))
         eta = 0.1 + 0.02 * t
@@ -506,11 +538,18 @@ def test_damping_factor_is_exact_for_polynomial_friction():
 def test_damping_factor_spline_without_closed_form():
     # t in the denominator: f = exp(-ln(1 + t)) = 1/(1 + t) by spline
     eta = ExprProfile(parse("1/(1 + t)", ["t"]))
-    p = DampingFactorProfile(eta, (0.0, 10.0))
+    p = damping_factor(eta, (0.0, 10.0))
+    assert isinstance(p, DampingFactorProfile)
     for t in np.linspace(0.0, 10.0, 41):
         assert abs(p.value(0, t) - 1.0 / (1.0 + t)) < 1e-8
     with pytest.raises(ValueError, match="needs a span"):
-        DampingFactorProfile(eta)
+        damping_factor(eta)
+    # so does a friction with an exponent: eta = 0.1 exp(-t) gives
+    # f = exp(-0.1 (1 - exp(-t)))
+    p = damping_factor(ExprProfile(num(0.1), -sym("t")), (0.0, 10.0))
+    assert isinstance(p, DampingFactorProfile)
+    for t in np.linspace(0.0, 10.0, 41):
+        assert abs(p.value(0, t) - math.exp(-0.1 * (1 - math.exp(-t)))) < 1e-8
     # a table takes the same route and stays inside its own span
     ts = np.linspace(0.0, 10.0, 11)
     table = DampingFactorProfile(TabulatedProfile(ts, 0.1 + 0.02 * ts),

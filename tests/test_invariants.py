@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from phasekit import (
-    ConstantProfile,
     ErmakovBlowupError,
     ErmakovConfig,
     ErmakovSolution,
@@ -19,6 +18,7 @@ from phasekit import (
     export_invariant_csv,
     invariant_drift_report,
     lewis_invariant,
+    num,
     oscillator_registry,
     parse,
     solution_from_trajectory,
@@ -70,7 +70,7 @@ def _blowup_config():
     # w = 1/(1-t) is singular at t = 1: the stepper underflows just short
     # of it, and 0.9 is the last grid time rho was checked valid
     registry = oscillator_registry(
-        friction_profile=ConstantProfile(0.0),
+        friction_profile=ExprProfile(num(0)),
         frequency_profile=ExprProfile(parse("1/(1-t)", ["t"])),
     )
     return ErmakovConfig(registry, (0.0, 2.0), m=1.0, nu=1.0)
@@ -126,7 +126,7 @@ def test_equilibrium_identity():
 def test_invariant_conserved_for_drifting_frequency():
     # slowly rising omega(t): the energy changes, the invariant must not
     registry = oscillator_registry(
-        friction_profile=ConstantProfile(0.0),
+        friction_profile=ExprProfile(num(0)),
         frequency_profile=ExprProfile(parse("2 + t/10", ["t"])),
     )
     cfg = ErmakovConfig(registry, (0.0, 5.0), m=1.0, nu=2.0)
