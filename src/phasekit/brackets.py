@@ -2,19 +2,19 @@
 
 Brackets are computed symbolically through exact expression arithmetic, so
 antisymmetry and the vanishing of Dirac brackets against second-class
-constraints hold identically, not just to tolerance.  Brackets are built
-from gradients (normal-form partials by each chart variable); the
-classification behind a ``ConstraintMatrix`` carries its constraints'
-gradients, which ``dirac`` and ``hamilton_eom`` reuse.  The only numeric step
-is the first/second-class decision for non-constant constraint brackets,
-which samples the constraint surface through expressions lowered once by
-``expr.lower``, with coefficient atoms bound as independent values.
+constraints hold identically, not just to tolerance.  The one bracket is
+{f, g}_M = ∇fᵀ M ∇g over normal-form gradients: the chart's symplectic J
+gives Poisson brackets, and D = J − (J G) C (Gᵀ J), built once per
+``ConstraintMatrix`` (Henneaux & Teitelboim, *Quantization of Gauge
+Systems*, ch. 1), Dirac brackets; Hamilton's equations are M∇H.  The only
+numeric step is the first/second-class decision for non-constant constraint
+brackets, which samples the constraint surface through expressions lowered
+once by ``expr.lower``, with coefficient atoms bound as independent values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +23,6 @@ from .expr import (
     AtomRegistry,
     Chart,
     PhaseExpr,
-    Sym,
     ZERO,
     atoms_in,
     diff,
@@ -79,23 +78,38 @@ def poisson(f: PhaseExpr, g: PhaseExpr, chart: Chart,
     differentiate to zero; pass ``params`` to have that set validated.
     """
     _check_symbols(f, g, chart, params)
-    return from_rat(_bracket(_gradient(f, chart, registry),
-                             _gradient(g, chart, registry), chart))
+    return from_rat(_bracket(_gradient(f, chart, registry), _symplectic(chart),
+                             _gradient(g, chart, registry)))
+
+
+Matrix = Tuple[Tuple[Rat, ...], ...]    # rows and columns: chart.variables
 
 
 def _gradient(e: PhaseExpr, chart: Chart,
-              registry: Optional[AtomRegistry]) -> Dict[str, Rat]:
+              registry: Optional[AtomRegistry]) -> Tuple[Rat, ...]:
     """Normal form of ∂e/∂v for every chart variable v."""
-    return {v: to_rat(diff(e, v, registry)) for v in chart.variables}
+    return tuple(to_rat(diff(e, v, registry)) for v in chart.variables)
 
 
-def _bracket(grad_f: Mapping[str, Rat], grad_g: Mapping[str, Rat],
-             chart: Chart) -> Rat:
-    """Σ (f_q g_p − f_p g_q) over the chart's pairs, from two gradients."""
-    total = Rat.const(0)
-    for q, p in chart.pairs:
-        total = total + grad_f[q] * grad_g[p] - grad_f[p] * grad_g[q]
-    return total
+def _symplectic(chart: Chart) -> Matrix:
+    """J: {q, p} = 1 and {p, q} = −1 for each of the chart's pairs."""
+    return tuple(tuple(Rat.const(int(e)) for e in row)
+                 for row in chart.poisson_matrix())
+
+
+def _dot(u: Sequence[Rat], v: Sequence[Rat]) -> Rat:
+    return sum((a * b for a, b in zip(u, v)
+                if not (a.is_zero() or b.is_zero())), Rat.const(0))
+
+
+def _apply(m: Matrix, grad: Sequence[Rat]) -> Tuple[Rat, ...]:
+    """M∇g, over M's nonzero entries."""
+    return tuple(_dot(row, grad) for row in m)
+
+
+def _bracket(grad_f: Sequence[Rat], m: Matrix, grad_g: Sequence[Rat]) -> Rat:
+    """{f, g}_M = ∇fᵀ M ∇g."""
+    return _dot(grad_f, _apply(m, grad_g))
 
 
 # --------------------------------------------------------------------------
@@ -108,7 +122,7 @@ class ConstraintClassification:
     the constraint gradients it was built from."""
 
     constraints: Tuple[PhaseExpr, ...]
-    gradients: Tuple[Dict[str, Rat], ...]
+    gradients: Tuple[Tuple[Rat, ...], ...]
     bracket_table: Tuple[Tuple[PhaseExpr, ...], ...]
     weakly_zero: Tuple[Tuple[bool, ...], ...]
     first_class: Tuple[int, ...]
@@ -132,11 +146,13 @@ class ConstraintClassification:
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    """Δ_ab = {φ_a, φ_b} and its symbolic inverse when Δ is regular."""
+    """Δ_ab = {φ_a, φ_b}; when Δ is regular, its symbolic inverse C and
+    the Dirac matrix D = J − (J G) C (Gᵀ J) over the chart's variables."""
 
     constraints: Tuple[PhaseExpr, ...]
     delta: Tuple[Tuple[PhaseExpr, ...], ...]
     inverse: Optional[Tuple[Tuple[PhaseExpr, ...], ...]]
+    dirac_matrix: Optional[Matrix]
     classification: ConstraintClassification
     chart: Chart
 
@@ -252,7 +268,9 @@ def classify_constraints(constraints: Sequence[PhaseExpr], chart: Chart,
     constraints = tuple(simplify(c) for c in constraints)
     n = len(constraints)
     grads = tuple(_gradient(c, chart, registry) for c in constraints)
-    table = [[from_rat(_bracket(gi, gj, chart)) for gj in grads] for gi in grads]
+    jmat = _symplectic(chart)
+    table = [[from_rat(_bracket(gi, jmat, gj)) for gj in grads]
+             for gi in grads]
 
     need_points = any(
         not is_zero_expr(table[i][j]) and not is_const_expr(table[i][j])
@@ -320,7 +338,7 @@ def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
                       registry: Optional[AtomRegistry] = None,
                       values_hint: Optional[Mapping[str, float]] = None
                       ) -> ConstraintMatrix:
-    """Build Δ_ab = {φ_a, φ_b}, classify, and invert."""
+    """Build Δ_ab = {φ_a, φ_b}, classify, and, for a regular Δ, C and D."""
     classification = classify_constraints(
         constraints, chart, registry, values_hint)
     delta = classification.bracket_table
@@ -328,22 +346,38 @@ def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
         for j in range(len(delta)):
             if not is_zero_expr(delta[i][j] + delta[j][i]):
                 raise BracketError("constraint matrix lost antisymmetry")
-    inverse = None
+    inverse = dirac_matrix = None
     if not classification.first_class:
         n = len(delta)
         rows = [[to_rat(e) for e in row]
                 + [Rat.const(1 if k == i else 0) for k in range(n)]
                 for i, row in enumerate(delta)]
         if not _eliminate(rows).is_zero():
-            inverse = tuple(tuple(from_rat(e) for e in row[n:])
-                            for row in rows)
+            c = [row[n:] for row in rows]
+            inverse = tuple(tuple(from_rat(e) for e in row) for row in c)
+            # D = J + (J G) C (J G)ᵀ, as Gᵀ J = −(J G)ᵀ for gradients G
+            jmat = _symplectic(chart)
+            jg = list(zip(*(_apply(jmat, g) for g in classification.gradients)))
+            cjg = [_apply(c, row) for row in jg]
+            dirac_matrix = tuple(
+                tuple(j_ik + _dot(jg_i, cjg_k) for j_ik, cjg_k in zip(j_i, cjg))
+                for j_i, jg_i in zip(jmat, jg))
     return ConstraintMatrix(
         constraints=classification.constraints,
         delta=delta,
         inverse=inverse,
+        dirac_matrix=dirac_matrix,
         classification=classification,
         chart=chart,
     )
+
+
+def _checked_dirac_matrix(cm: ConstraintMatrix, chart: Chart) -> Matrix:
+    if cm.dirac_matrix is None:
+        raise SingularDeltaError(cm.classification)
+    if chart != cm.chart:
+        raise ChartMismatchError(f"constraint matrix is over '{cm.chart.label}'")
+    return cm.dirac_matrix
 
 
 def dirac(f: PhaseExpr, g: PhaseExpr, cm: ConstraintMatrix, chart: Chart,
@@ -351,24 +385,9 @@ def dirac(f: PhaseExpr, g: PhaseExpr, cm: ConstraintMatrix, chart: Chart,
           params: Optional[Iterable[str]] = None) -> PhaseExpr:
     """Dirac bracket {f,g} - Σ_ab {f,φ_a} C_ab {φ_b,g} with C = Δ⁻¹."""
     _check_symbols(f, g, chart, params)
-    return from_rat(_dirac(_gradient(f, chart, registry),
-                           _gradient(g, chart, registry), cm, chart))
-
-
-def _dirac(grad_f: Mapping[str, Rat], grad_g: Mapping[str, Rat],
-           cm: ConstraintMatrix, chart: Chart) -> Rat:
-    if cm.inverse is None:
-        raise SingularDeltaError(cm.classification)
-    if chart != cm.chart:
-        raise ChartMismatchError(f"constraint matrix is over '{cm.chart.label}'")
-    total = _bracket(grad_f, grad_g, chart)
-    grads = cm.classification.gradients
-    left = [_bracket(grad_f, grad_phi, chart) for grad_phi in grads]
-    right = [_bracket(grad_phi, grad_g, chart) for grad_phi in grads]
-    for a, b in product(range(len(left)), repeat=2):
-        if not (left[a].is_zero() or right[b].is_zero()):
-            total = total - left[a] * to_rat(cm.inverse[a][b]) * right[b]
-    return total
+    return from_rat(_bracket(_gradient(f, chart, registry),
+                             _checked_dirac_matrix(cm, chart),
+                             _gradient(g, chart, registry)))
 
 
 def hamilton_eom(hamiltonian: PhaseExpr, chart: Chart,
@@ -376,16 +395,9 @@ def hamilton_eom(hamiltonian: PhaseExpr, chart: Chart,
                  registry: Optional[AtomRegistry] = None,
                  params: Optional[Iterable[str]] = None
                  ) -> Dict[str, PhaseExpr]:
-    """Right-hand sides v̇ = {v, H} for every chart variable; ∇H once.
-
-    The brackets are Dirac brackets over the constraint matrix ``cm`` when
-    one is given, Poisson brackets otherwise.
-    """
+    """Right-hand sides v̇ = {v, H} = (M∇H)_v for every chart variable, M
+    being the Dirac matrix of ``cm`` when one is given and J otherwise."""
     _check_symbols(hamiltonian, ZERO, chart, params)
-    grad_h = _gradient(hamiltonian, chart, registry)
-    out: Dict[str, PhaseExpr] = {}
-    for v in chart.variables:
-        grad_v = _gradient(Sym(v), chart, registry)
-        out[v] = from_rat(_bracket(grad_v, grad_h, chart) if cm is None
-                          else _dirac(grad_v, grad_h, cm, chart))
-    return out
+    m = _symplectic(chart) if cm is None else _checked_dirac_matrix(cm, chart)
+    rhs = _apply(m, _gradient(hamiltonian, chart, registry))
+    return {v: from_rat(e) for v, e in zip(chart.variables, rhs)}

@@ -47,7 +47,6 @@ import yaml
 from .brackets import (
     BracketError,
     constraint_matrix,
-    dirac,
 )
 from .canonical import (
     CanonicalError,
@@ -94,7 +93,7 @@ from .expr import (
     Profile,
     TabulatedProfile,
     eval_expr,
-    is_zero_expr,
+    from_rat,
     num,
     parse,
     render,
@@ -403,7 +402,7 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
     # With a gauge fixed the multiplier is no longer free: consistency of
     # the gauge row pins it to the window slope.  Only the ungauged search
     # keeps a symbolic multiplier.
-    lam = (num(scenario.gauge.lambda_value) if scenario.gauge is not None
+    lam = (num(scenario.gauge.slope) if scenario.gauge is not None
            else sym("lam"))
     search = secondary_constraints(
         cs, total_hamiltonian(cs, lam), chart,
@@ -419,15 +418,14 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
     # one classification serves the report and the gauged Dirac brackets
     cm = constraint_matrix(cs.all_constraints(), chart, registry=registry,
                            values_hint=hint)
-    cs = dataclasses.replace(cs, classification=cm.classification)
     lines.append("  classification:")
     lines.extend("    " + row
-                 for row in cs.classification.report().splitlines())
+                 for row in cm.classification.report().splitlines())
     summary["extended"] = {
         **extended_summary,
         "secondaries": [render(s) for s in search.secondaries],
-        "first_class": list(cs.classification.first_class),
-        "second_class": list(cs.classification.second_class),
+        "first_class": list(cm.classification.first_class),
+        "second_class": list(cm.classification.second_class),
     }
 
     if scenario.gauge is None:
@@ -445,11 +443,11 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
     lines.extend("    " + row for row in _matrix_lines(cm.inverse))
     lines.append("  nonvanishing Dirac brackets:")
     brackets: Dict[str, str] = {}
-    for i, u in enumerate(chart.variables):
-        for v in chart.variables[i + 1:]:
-            res = dirac(sym(u), sym(v), cm, chart, registry=registry)
-            if not is_zero_expr(res):
-                text = render(res)
+    for i, (u, row) in enumerate(zip(chart.variables, cm.dirac_matrix)):
+        # {u, v}_D = D_uv, from the upper triangle
+        for v, entry in zip(chart.variables[i + 1:], row[i + 1:]):
+            if not entry.is_zero():
+                text = render(from_rat(entry))
                 brackets[f"{{{u}, {v}}}"] = text
                 lines.append(f"    {{{u}, {v}}}_D = {text}")
     summary["gauge"] = {

@@ -10,14 +10,14 @@ constraint surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from . import brackets as _brackets
-from .brackets import ConstraintClassification, classify_constraints, poisson
+from .brackets import poisson
 from .expr import (
     AtomRegistry,
     Chart,
@@ -131,9 +131,15 @@ class GaugeSpec:
         return (t2 - t1) / (tau2 - tau1)
 
     @property
+    def slope(self) -> Fraction:
+        """λ of the window's floats, exactly."""
+        tau1, tau2, t1, t2 = map(Fraction, self.window)
+        return (t2 - t1) / (tau2 - tau1)
+
+    @property
     def eta_gauge(self) -> PhaseExpr:
-        tau1, tau2, t1, t2 = (Fraction(v) for v in self.window)
-        slope = num((t2 - t1) / (tau2 - tau1))
+        tau1, _, t1, _ = map(Fraction, self.window)
+        slope = num(self.slope)
         return simplify(
             sym("t_tau") - (slope * (sym("tau") - num(tau1)) + num(t1))
         )
@@ -148,7 +154,6 @@ class ConstraintSet:
     primaries: Tuple[PhaseExpr, ...]
     secondaries: Tuple[PhaseExpr, ...] = ()
     gauge: Optional[GaugeSpec] = None
-    classification: Optional[ConstraintClassification] = None
 
     def all_constraints(self) -> Tuple[PhaseExpr, ...]:
         out = tuple(self.primaries) + tuple(self.secondaries)
@@ -304,19 +309,8 @@ def legendre(model: LagrangianModel) -> LegendreResult:
 
 
 # --------------------------------------------------------------------------
-# classification, total Hamiltonian, secondary search
+# total Hamiltonian, secondary search
 # --------------------------------------------------------------------------
-
-def classify(cs: ConstraintSet, chart: Chart,
-             registry: Optional[AtomRegistry] = None,
-             values_hint: Optional[Mapping[str, float]] = None
-             ) -> ConstraintSet:
-    """Attach a first/second-class classification to the set."""
-    classification = classify_constraints(
-        cs.all_constraints(), chart, registry, values_hint
-    )
-    return replace(cs, classification=classification)
-
 
 def total_hamiltonian(cs: ConstraintSet, lam) -> PhaseExpr:
     """λ·φ for a single primary, Σ λ_a φ_a when λ is a sequence."""

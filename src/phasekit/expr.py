@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
@@ -234,13 +233,10 @@ def _term_tree(coeff: Fraction, mono_pairs) -> PhaseExpr:
 
 
 def _poly_tree(p, scale, den_mono=()) -> PhaseExpr:
-    items = sorted(
-        p.items(),
-        key=cmp_to_key(lambda a, b: _poly.mono_cmp(a[0], b[0])),
-        reverse=True,
-    )
+    # exponent vectors are distinct and sort in mono_cmp's order
+    _, (packed,) = _poly._pack(p)
     terms = []
-    for m, c in items:
+    for _, (m, c) in sorted(zip(packed, p.items()), reverse=True):
         if den_mono:
             exps = dict(m)
             for k, e in den_mono:

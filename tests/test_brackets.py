@@ -16,6 +16,7 @@ from phasekit import (
     SingularDeltaError,
     classify_constraints,
     constraint_matrix,
+    diff,
     dirac,
     equivalent,
     eval_expr,
@@ -220,7 +221,7 @@ def test_delta_inverse_golden(gauged_system):
 
 def test_first_class_set_has_no_inverse():
     cm = constraint_matrix([sym("p_tau")], EXTENDED_CHART)
-    assert cm.inverse is None
+    assert cm.inverse is None and cm.dirac_matrix is None
     with pytest.raises(SingularDeltaError):
         dirac(sym("x1_tau"), sym("p1_tau"), cm, EXTENDED_CHART)
 
@@ -294,17 +295,39 @@ def test_dirac_matches_its_definition(gauged_system, curved_system, f_text,
 
 def test_hamilton_eom_matches_per_variable_brackets(gauged_system,
                                                     curved_system):
+    # dirac and hamilton_eom share D, so the Dirac equations are checked
+    # against {v,H} - sum_ab {v,phi_a} C_ab {phi_b,H} from plain Poisson
+    # brackets, and the plain ones against dH/dp and -dH/dq
     gauged = (gauged_system[0], gauged_system[3])
     for registry, cm in (gauged, curved_system):
         h = parse("x1_tau^2*p_tau + w(t_tau)*p1_tau*t_tau - p2_tau^3/f(t_tau)",
                   EXT_VARS, registry)
+
+        def pb(a, b):
+            return poisson(a, b, EXTENDED_CHART, registry)
+
         eom = hamilton_eom(h, EXTENDED_CHART, cm=cm, registry=registry)
-        plain = hamilton_eom(h, EXTENDED_CHART, registry=registry)
         for v in EXT_VARS:
-            assert eom[v] == dirac(sym(v), h, cm, EXTENDED_CHART,
-                                   registry=registry), v
-            assert plain[v] == poisson(sym(v), h, EXTENDED_CHART,
-                                       registry), v
+            expected = pb(sym(v), h)
+            for a, phi_a in enumerate(cm.constraints):
+                for b, phi_b in enumerate(cm.constraints):
+                    expected = expected - (
+                        pb(sym(v), phi_a) * cm.inverse[a][b] * pb(phi_b, h))
+            assert equivalent(eom[v], expected), v
+        plain = hamilton_eom(h, EXTENDED_CHART, registry=registry)
+        for q, p in EXTENDED_CHART.pairs:
+            assert equivalent(plain[q], diff(h, p, registry)), q
+            assert equivalent(plain[p], -diff(h, q, registry)), p
+
+
+def test_hamilton_eom_refuses_a_singular_or_foreign_matrix(gauged_system):
+    registry, _, _, cm = gauged_system
+    h = parse("p1_tau^2 + x1_tau*p_tau", EXT_VARS, registry)
+    first_class = constraint_matrix([sym("p_tau")], EXTENDED_CHART)
+    with pytest.raises(SingularDeltaError):
+        hamilton_eom(h, EXTENDED_CHART, cm=first_class, registry=registry)
+    with pytest.raises(ChartMismatchError):
+        hamilton_eom(sym("p1"), ORIGINAL_CHART, cm=cm, registry=registry)
 
 
 def test_dirac_rejects_a_matrix_from_another_chart(gauged_system):

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import phasekit
@@ -89,6 +90,32 @@ def test_analyze_report_goldens(tmp_path, capsys):
                           parse(text, EXT_VARS, reg)), pair
     assert summary["extended"]["second_class"] == [0, 1]
     assert summary["extended"]["secondaries"] == []
+
+
+@pytest.mark.parametrize("tau, t, eta", [
+    ([0, 3], [0, 1], "t_tau - (1/3)*tau"),
+    ([0, 1], [0.1, 0.7], None),
+])
+def test_analyze_a_gauge_window_with_a_non_dyadic_slope(tmp_path, capsys,
+                                                        tau, t, eta):
+    # the pinned multiplier and eta_gauge must share one exact slope, or
+    # the gauge row's consistency condition leaves a nonzero constant
+    cfg = yaml.safe_load((CONFIGS / "oscillator.yaml").read_text())
+    cfg["gauge"] = {"tau": tau, "t": t}
+    path = write_config(tmp_path, "window.yaml", cfg)
+    code, out = run_cli(capsys, "analyze", str(path), "--out", str(tmp_path))
+    assert code == 0, out
+    summary = json.loads((tmp_path / "analysis.json").read_text())
+    if eta is not None:
+        assert summary["gauge"]["eta_gauge"] == eta
+    assert summary["extended"]["secondaries"] == []
+    assert summary["extended"]["second_class"] == [0, 1]
+    brackets = summary["gauge"]["dirac_brackets"]
+    assert set(brackets) == set(DIRAC_GOLDEN)
+    reg = constant_registry()
+    for pair, text in DIRAC_GOLDEN.items():
+        assert equivalent(parse(brackets[pair], EXT_VARS, reg),
+                          parse(text, EXT_VARS, reg)), pair
 
 
 def test_analyze_regular_system(tmp_path, capsys):
@@ -658,6 +685,24 @@ def test_integrator_and_gauge_sections_end_in_an_exit_code(
         assert text.startswith("error: ") and "\n" not in text
     for summary in work.glob("*.json"):
         json.loads(summary.read_text())
+
+
+@settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+@given(tau=st.lists(small, min_size=2, max_size=2, unique=True).map(sorted),
+       t=st.lists(small, min_size=2, max_size=2, unique=True).map(sorted))
+def test_analyze_exits_0_on_every_gauge_window(tmp_path_factory, tau, t):
+    # dyadic or not, a window with a finite nonzero float slope is analyzed
+    slope = (t[1] - t[0]) / (tau[1] - tau[0])
+    assume(math.isfinite(slope) and slope != 0)
+    cfg = short_oscillator()
+    cfg["gauge"] = {"tau": tau, "t": t}
+    work = tmp_path_factory.mktemp("window")
+    path = write_config(work, "window.yaml", cfg)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["analyze", str(path), "--out", str(work)])
+    assert code == 0, out.getvalue()
+    summary = json.loads((work / "analysis.json").read_text())
+    assert set(summary["gauge"]["dirac_brackets"]) == set(DIRAC_GOLDEN)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from phasekit import (
     GaugeSpec,
     LagrangianModel,
     TabulatedProfile,
-    classify,
     equivalent,
     extended_oscillator,
     hessian,
@@ -227,16 +226,6 @@ def test_search_detects_inconsistency():
     cs = ConstraintSet(primaries=(sym("p"),))
     with pytest.raises(ConstraintError):
         secondary_constraints(cs, sym("x"), chart)
-
-
-def test_classify_attaches_classification(registry, extended):
-    phi = legendre(extended).primaries[0]
-    gauge = GaugeSpec((0.0, 1.0, 0.0, 10.0))
-    cs = ConstraintSet(primaries=(phi,), gauge=gauge)
-    out = classify(cs, extended.chart, registry=registry,
-                   values_hint={"m": 1.0})
-    assert out.classification is not None
-    assert out.classification.second_class == (0, 1)
 
 
 # ---------------------------------------------------------------------------

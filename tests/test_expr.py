@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -35,9 +36,10 @@ from phasekit import (
     subst,
     sym,
 )
+from phasekit._poly import mono_cmp
 from phasekit.expr import (Add, Atom, Div, ExprError, Mul, Num, Pow,
-                           SubstitutionError, Sym, _atom_derivative, atoms_in,
-                           from_rat, to_rat)
+                           SubstitutionError, Sym, _atom_derivative,
+                           _poly_tree, _term_tree, atoms_in, from_rat, to_rat)
 
 from _support import Fixed, constant_registry
 
@@ -225,6 +227,25 @@ def test_diff_still_rejects_a_zero_denominator():
     for v in ("P1", "Q1"):
         with pytest.raises(ExprError, match="division by a zero expression"):
             diff(e, v)
+
+
+# monomial keys as the normal form stores them: symbols and atoms
+_POLY_KEYS = ((0, "x"), (0, "y"), (0, "z"), (1, "f", 0, "t"), (1, "w", 1, "t"))
+_monos = st.tuples(*[st.integers(0, 3)] * len(_POLY_KEYS)).map(
+    lambda exps: tuple((k, e) for k, e in zip(_POLY_KEYS, exps) if e))
+raw_polys = st.dictionaries(_monos, st.integers(-9, 9).filter(bool),
+                            max_size=10)
+
+
+@given(raw_polys, st.integers(1, 6))
+def test_poly_tree_orders_terms_as_mono_cmp(p, scale):
+    # the reference sorts by the graded lexicographic comparison itself
+    items = sorted(p.items(), key=cmp_to_key(lambda a, b: mono_cmp(a[0], b[0])),
+                   reverse=True)
+    terms = [_term_tree(Fraction(c, scale), m) for m, c in items]
+    expected = (Num(Fraction(0)) if not terms else terms[0]
+                if len(terms) == 1 else Add(tuple(terms)))
+    assert _poly_tree(p, scale) == expected
 
 
 # f carries a registered rule, w does not, and atoms of order 1 never do
