@@ -42,10 +42,8 @@ from .expr import (
 from .brackets import (
     BracketError,
     ChartMismatchError,
-    ConstraintClassification,
     ConstraintMatrix,
     SingularDeltaError,
-    classify_constraints,
     constraint_matrix,
     dirac,
     hamilton_eom,

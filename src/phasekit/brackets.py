@@ -48,12 +48,12 @@ class ChartMismatchError(BracketError):
 class SingularDeltaError(BracketError):
     """Raised when a Dirac bracket is requested for a singular Δ."""
 
-    def __init__(self, classification: "ConstraintClassification"):
+    def __init__(self, matrix: "ConstraintMatrix"):
         super().__init__(
             "constraint matrix is singular; Dirac brackets need a purely "
-            "second-class set\n" + classification.report()
+            "second-class set\n" + matrix.report()
         )
-        self.classification = classification
+        self.matrix = matrix
 
 
 def _check_symbols(f: PhaseExpr, g: PhaseExpr, chart: Chart,
@@ -113,20 +113,25 @@ def _bracket(grad_f: Sequence[Rat], m: Matrix, grad_g: Sequence[Rat]) -> Rat:
 
 
 # --------------------------------------------------------------------------
-# constraint matrix and classification
+# constraint matrix
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConstraintClassification:
-    """First/second-class split with the full bracket table behind it and
-    the constraint gradients it was built from."""
+class ConstraintMatrix:
+    """Δ_ab = {φ_a, φ_b} over the constraints' gradients, the first/second
+    class split it gives on the constraint surface, and, when Δ is regular,
+    its symbolic inverse C and the Dirac matrix D = J − (J G) C (Gᵀ J) over
+    the chart's variables."""
 
     constraints: Tuple[PhaseExpr, ...]
     gradients: Tuple[Tuple[Rat, ...], ...]
-    bracket_table: Tuple[Tuple[PhaseExpr, ...], ...]
+    delta: Tuple[Tuple[PhaseExpr, ...], ...]
     weakly_zero: Tuple[Tuple[bool, ...], ...]
     first_class: Tuple[int, ...]
     second_class: Tuple[int, ...]
+    inverse: Optional[Tuple[Tuple[PhaseExpr, ...], ...]]
+    dirac_matrix: Optional[Matrix]
+    chart: Chart
 
     def report(self) -> str:
         lines = []
@@ -142,19 +147,6 @@ class ConstraintClassification:
             )
             lines.append(f"constraint {i}: {kind} ({detail})")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """Δ_ab = {φ_a, φ_b}; when Δ is regular, its symbolic inverse C and
-    the Dirac matrix D = J − (J G) C (Gᵀ J) over the chart's variables."""
-
-    constraints: Tuple[PhaseExpr, ...]
-    delta: Tuple[Tuple[PhaseExpr, ...], ...]
-    inverse: Optional[Tuple[Tuple[PhaseExpr, ...], ...]]
-    dirac_matrix: Optional[Matrix]
-    classification: ConstraintClassification
-    chart: Chart
 
 
 def _surface_points(constraints: Sequence[PhaseExpr], chart: Chart,
@@ -255,52 +247,6 @@ def _effectively_nonzero(bracket: PhaseExpr,
     return False
 
 
-def classify_constraints(constraints: Sequence[PhaseExpr], chart: Chart,
-                         registry: Optional[AtomRegistry] = None,
-                         values_hint: Optional[Mapping[str, float]] = None
-                         ) -> ConstraintClassification:
-    """Split constraints into first and second class.
-
-    A constraint is second-class when some bracket with another constraint
-    is effectively nonzero on the constraint surface; identically zero and
-    sampled-zero brackets count as weakly vanishing.
-    """
-    constraints = tuple(simplify(c) for c in constraints)
-    n = len(constraints)
-    grads = tuple(_gradient(c, chart, registry) for c in constraints)
-    jmat = _symplectic(chart)
-    table = [[from_rat(_bracket(gi, jmat, gj)) for gj in grads]
-             for gi in grads]
-
-    need_points = any(
-        not is_zero_expr(table[i][j]) and not is_const_expr(table[i][j])
-        for i in range(n) for j in range(n)
-    )
-    surface = (
-        _surface_points(constraints, chart, 16, 20260817, values_hint,
-                        extra_exprs=[table[i][j]
-                                     for i in range(n) for j in range(n)])
-        if need_points else ((), [])
-    )
-
-    weakly = [
-        [not _effectively_nonzero(table[i][j], surface)
-         for j in range(n)]
-        for i in range(n)
-    ]
-    first, second = [], []
-    for i in range(n):
-        (first if all(weakly[i]) else second).append(i)
-    return ConstraintClassification(
-        constraints=constraints,
-        gradients=grads,
-        bracket_table=tuple(tuple(row) for row in table),
-        weakly_zero=tuple(tuple(row) for row in weakly),
-        first_class=tuple(first),
-        second_class=tuple(second),
-    )
-
-
 def _eliminate(rows: List[List[Rat]]) -> Rat:
     """Gauss-Jordan elimination over ``Rat`` on the leading square block
     of ``rows`` (n rows, at least n columns), in place; returns the
@@ -338,17 +284,39 @@ def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
                       registry: Optional[AtomRegistry] = None,
                       values_hint: Optional[Mapping[str, float]] = None
                       ) -> ConstraintMatrix:
-    """Build Δ_ab = {φ_a, φ_b}, classify, and, for a regular Δ, C and D."""
-    classification = classify_constraints(
-        constraints, chart, registry, values_hint)
-    delta = classification.bracket_table
-    for i in range(len(delta)):
-        for j in range(len(delta)):
+    """Differentiate each constraint once, build Δ_ab = {φ_a, φ_b} from the
+    gradients, classify, and, for a regular Δ, build C and D.
+
+    A constraint is second-class when some bracket with another constraint
+    is effectively nonzero on the constraint surface; identically zero and
+    sampled-zero brackets count as weakly vanishing.
+    """
+    constraints = tuple(simplify(c) for c in constraints)
+    n = len(constraints)
+    grads = tuple(_gradient(c, chart, registry) for c in constraints)
+    jmat = _symplectic(chart)
+    delta = tuple(tuple(from_rat(_bracket(gi, jmat, gj)) for gj in grads)
+                  for gi in grads)
+    for i in range(n):
+        for j in range(n):
             if not is_zero_expr(delta[i][j] + delta[j][i]):
                 raise BracketError("constraint matrix lost antisymmetry")
+
+    entries = [e for row in delta for e in row]
+    need_points = any(not is_zero_expr(e) and not is_const_expr(e)
+                      for e in entries)
+    surface = (
+        _surface_points(constraints, chart, 16, 20260817, values_hint,
+                        extra_exprs=entries)
+        if need_points else ((), [])
+    )
+    weakly = tuple(tuple(not _effectively_nonzero(e, surface) for e in row)
+                   for row in delta)
+    first = tuple(i for i in range(n) if all(weakly[i]))
+    second = tuple(i for i in range(n) if not all(weakly[i]))
+
     inverse = dirac_matrix = None
-    if not classification.first_class:
-        n = len(delta)
+    if not first:
         rows = [[to_rat(e) for e in row]
                 + [Rat.const(1 if k == i else 0) for k in range(n)]
                 for i, row in enumerate(delta)]
@@ -356,25 +324,27 @@ def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
             c = [row[n:] for row in rows]
             inverse = tuple(tuple(from_rat(e) for e in row) for row in c)
             # D = J + (J G) C (J G)ᵀ, as Gᵀ J = −(J G)ᵀ for gradients G
-            jmat = _symplectic(chart)
-            jg = list(zip(*(_apply(jmat, g) for g in classification.gradients)))
+            jg = list(zip(*(_apply(jmat, g) for g in grads)))
             cjg = [_apply(c, row) for row in jg]
             dirac_matrix = tuple(
                 tuple(j_ik + _dot(jg_i, cjg_k) for j_ik, cjg_k in zip(j_i, cjg))
                 for j_i, jg_i in zip(jmat, jg))
     return ConstraintMatrix(
-        constraints=classification.constraints,
+        constraints=constraints,
+        gradients=grads,
         delta=delta,
+        weakly_zero=weakly,
+        first_class=first,
+        second_class=second,
         inverse=inverse,
         dirac_matrix=dirac_matrix,
-        classification=classification,
         chart=chart,
     )
 
 
 def _checked_dirac_matrix(cm: ConstraintMatrix, chart: Chart) -> Matrix:
     if cm.dirac_matrix is None:
-        raise SingularDeltaError(cm.classification)
+        raise SingularDeltaError(cm)
     if chart != cm.chart:
         raise ChartMismatchError(f"constraint matrix is over '{cm.chart.label}'")
     return cm.dirac_matrix

@@ -44,10 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 import yaml
 
-from .brackets import (
-    BracketError,
-    constraint_matrix,
-)
+from .brackets import BracketError
 from .canonical import (
     CanonicalError,
     NEW_VARS,
@@ -414,18 +411,15 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
         f"(consistency closed after {search.passes} pass"
         f"{'es' if search.passes != 1 else ''})"
     )
-    cs = dataclasses.replace(cs, secondaries=search.secondaries)
-    # one classification serves the report and the gauged Dirac brackets
-    cm = constraint_matrix(cs.all_constraints(), chart, registry=registry,
-                           values_hint=hint)
+    # the closed set's matrix serves the report and the gauged Dirac brackets
+    cm = search.matrix
     lines.append("  classification:")
-    lines.extend("    " + row
-                 for row in cm.classification.report().splitlines())
+    lines.extend("    " + row for row in cm.report().splitlines())
     summary["extended"] = {
         **extended_summary,
         "secondaries": [render(s) for s in search.secondaries],
-        "first_class": list(cm.classification.first_class),
-        "second_class": list(cm.classification.second_class),
+        "first_class": list(cm.first_class),
+        "second_class": list(cm.second_class),
     }
 
     if scenario.gauge is None:
@@ -580,9 +574,14 @@ def run_invariant(scenario: Scenario, out_dir: Path,
         return CHECK_FAILED, "\n".join(lines)
 
     sol = solution_from_trajectory(traj)
-    values = lewis_invariant(traj, sol, cfg)
-    report = invariant_drift_report(values, traj.grid)
-    residual = float(np.max(np.abs(ermakov_residuals(sol, cfg))))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = lewis_invariant(traj, sol, cfg)
+            report = invariant_drift_report(values, traj.grid)
+            residual = float(np.max(np.abs(ermakov_residuals(sol, cfg))))
+    except (OverflowError, FloatingPointError) as exc:
+        raise InvariantError(f"the invariant or the auxiliary-equation "
+                             f"residual overflows a float ({exc})")
     export_invariant_csv(out_dir / "invariant.csv", sol, values)
 
     lines.append(f"I(0) = {float(values[0]):.12g}")

@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from . import brackets as _brackets
-from .brackets import poisson
+from .brackets import ConstraintMatrix, constraint_matrix, hamilton_eom
 from .expr import (
     AtomRegistry,
     Chart,
@@ -334,37 +334,43 @@ def total_hamiltonian(cs: ConstraintSet, lam) -> PhaseExpr:
 class SecondarySearch:
     secondaries: Tuple[PhaseExpr, ...]
     passes: int
+    matrix: ConstraintMatrix
 
 
 def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
                           registry: Optional[AtomRegistry] = None,
                           values_hint: Optional[Mapping[str, float]] = None
                           ) -> SecondarySearch:
-    """Consistency search: add dφ/dτ until it vanishes weakly.
+    """Dirac's consistency search: add φ̇ until it vanishes weakly.
 
-    The consistency condition is the total derivative {φ, H_T} + ∂φ/∂τ in
-    the evolution parameter ``tau``, so gauge constraints that carry it
-    explicitly are handled correctly.  Each pass keeps the conditions that
-    are effectively nonzero on the current surface; six passes at most.
+    The consistency condition is the total derivative in the evolution
+    parameter ``tau``, φ̇ = ∂φ/∂τ + ∇φ·ẋ with ẋ = {x, H_T} the flow of the
+    total Hamiltonian, so gauge constraints that carry τ explicitly are
+    handled correctly.  Each pass builds the ``constraint_matrix`` of the
+    current set (primaries, secondaries found so far, gauge), takes ∇φ from
+    it, and keeps the conditions that are effectively nonzero on the
+    current surface; the matrix of the pass that adds nothing is the
+    result.  Six passes at most.
     """
-    known: List[PhaseExpr] = list(cs.all_constraints())
+    flow = [to_rat(v) for v in
+            hamilton_eom(total_h, chart, registry=registry).values()]
     found: List[PhaseExpr] = []
     for pass_count in range(1, 7):
-        new: List[PhaseExpr] = []
+        known = ConstraintSet(cs.primaries, (*cs.secondaries, *found),
+                              cs.gauge).all_constraints()
+        cm = constraint_matrix(known, chart, registry, values_hint)
         candidates = []
-        for phi in known:
-            c = simplify(
-                poisson(phi, total_h, chart, registry)
-                + diff(phi, "tau", registry)
-            )
-            if is_zero_expr(c):
+        for phi, grad in zip(cm.constraints, cm.gradients):
+            c = to_rat(diff(phi, "tau", registry)) + _brackets._dot(grad, flow)
+            if c.is_zero():
                 continue
-            if to_rat(c).is_const():
+            if c.is_const():
                 raise ConstraintError(
                     "constraint consistency produced a nonzero constant; "
                     "the system is inconsistent"
                 )
-            candidates.append(c)
+            candidates.append(from_rat(c))
+        new: List[PhaseExpr] = []
         if candidates:
             surface = _brackets._surface_points(known, chart, 16, 20260817,
                                                 values_hint,
@@ -376,9 +382,9 @@ def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
                     continue
                 new.append(c)
         if not new:
-            return SecondarySearch(secondaries=tuple(found), passes=pass_count)
+            return SecondarySearch(secondaries=tuple(found), passes=pass_count,
+                                   matrix=cm)
         found.extend(new)
-        known.extend(new)
     raise ConstraintError("secondary-constraint search did not close")
 
 

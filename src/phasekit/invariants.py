@@ -72,7 +72,13 @@ class ErmakovConfig:
             if not (lo <= 0.0 <= hi):
                 at = float(lo)
             w0 = self.registry.profile("w").value(0, at)
-            self.nu = self.m * w0 * self.rho0 ** 2
+            try:
+                self.nu = self.m * w0 * self.rho0 ** 2
+            except OverflowError:
+                self.nu = math.inf
+            if not math.isfinite(self.nu):
+                raise InvariantError(
+                    "the default nu = m*w(0)*rho0^2 overflows a float")
         # nu = 0 is allowed as the linear reduction; the solution may then
         # cross zero and abort on the positivity gate
         if self.nu < 0:

@@ -14,7 +14,6 @@ from phasekit import (
     ConstraintSet,
     GaugeSpec,
     SingularDeltaError,
-    classify_constraints,
     constraint_matrix,
     diff,
     dirac,
@@ -191,16 +190,18 @@ def test_surface_points_cover_extra_expression_symbols(gauged_system):
 # ---------------------------------------------------------------------------
 
 def test_lone_momentum_constraint_is_first_class():
-    cls = classify_constraints([sym("p_tau")], EXTENDED_CHART)
-    assert cls.first_class == (0,)
-    assert cls.second_class == ()
-    assert "first-class" in cls.report()
+    cm = constraint_matrix([sym("p_tau")], EXTENDED_CHART)
+    assert cm.first_class == (0,)
+    assert cm.second_class == ()
+    assert cm.weakly_zero == ((True,),)
+    assert "first-class" in cm.report()
 
 
 def test_gauged_pair_is_second_class(gauged_system):
     registry, phi, gauge, cm = gauged_system
-    assert cm.classification.second_class == (0, 1)
-    assert cm.classification.first_class == ()
+    assert cm.second_class == (0, 1)
+    assert cm.first_class == ()
+    assert "second-class" in cm.report()
 
 
 def test_delta_matrix_golden(gauged_system):

@@ -687,6 +687,44 @@ def test_integrator_and_gauge_sections_end_in_an_exit_code(
         json.loads(summary.read_text())
 
 
+# initial:, ermakov: and run: sections reach numbers up to 1e300, where the
+# float arithmetic around the integrator overflows
+edges = st.sampled_from([1e300, -1e300, 1e200, 1e150, 1e-300])
+huge = st.one_of(edges, st.floats(-1e300, 1e300))
+values = mostly(small, st.one_of(huge, junk))
+initial_sections = mostly(st.fixed_dictionaries({}, optional={
+    key: values for key in ("x1", "p1", "x2", "p2")}), junk)
+ermakov_sections = mostly(st.fixed_dictionaries({}, optional={
+    "rho0": mostly(st.floats(0.5, 2.0), st.one_of(huge, junk)),
+    "rho_dot0": values}), junk)
+# span ends stay small or far past MAX_STEPS, so no run steps for long
+ends = mostly(small, edges)
+run_sections = mostly(st.fixed_dictionaries({}, optional={
+    "span": mostly(st.lists(ends, min_size=2, max_size=2, unique=True)
+                   .map(sorted), st.one_of(st.lists(ends, max_size=3), junk)),
+    "points": mostly(st.integers(5, 9), st.one_of(huge, junk))}), junk)
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["simulate", "invariant"]),
+       initial=initial_sections, ermakov=ermakov_sections, run=run_sections)
+def test_initial_ermakov_and_run_sections_end_in_an_exit_code(
+        tmp_path_factory, command, initial, ermakov, run):
+    cfg = short_oscillator(t_end=0.5)
+    cfg.update(initial=initial, ermakov=ermakov, run=run)
+    work = tmp_path_factory.mktemp("sections")
+    path = write_config(work, "sections.yaml", cfg)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main([command, str(path), "--out", str(work),
+                         "--jobs", "1"])
+    text = out.getvalue().strip()
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert text.startswith("error: ") and "\n" not in text
+    for summary in work.glob("*.json"):
+        json.loads(summary.read_text())
+
+
 @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
 @given(tau=st.lists(small, min_size=2, max_size=2, unique=True).map(sorted),
        t=st.lists(small, min_size=2, max_size=2, unique=True).map(sorted))
@@ -851,6 +889,25 @@ def test_auxiliary_blowup_aborts_cleanly(tmp_path, capsys):
     summary = json.loads((tmp_path / "invariant.json").read_text())
     assert summary["status"] == "aborted"
     assert 0.5 < summary["last_valid_t"] <= 0.7854
+
+
+@pytest.mark.parametrize("config, section, values", [
+    ("oscillator.yaml", "ermakov", {"rho0": 1.0e200}),       # default nu
+    ("invariant.yaml", "parameters", {"m": 1.0e300, "nu": 1.0}),
+], ids=["default-nu", "mass"])
+def test_invariant_overflow_ends_in_a_one_line_reason(tmp_path, capsys,
+                                                      config, section,
+                                                      values):
+    cfg = yaml.safe_load((CONFIGS / config).read_text())
+    cfg.setdefault(section, {}).update(values)
+    cfg["run"] = {"span": [0.0, 0.5], "points": 11}
+    path = write_config(tmp_path, "overflow.yaml", cfg)
+    code, out = run_cli(capsys, "invariant", str(path),
+                        "--out", str(tmp_path))
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scenario 'overflow': ")
+    assert "overflows a float" in lines[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from phasekit import (
     GaugeSpec,
     LagrangianModel,
     TabulatedProfile,
+    constraint_matrix,
     equivalent,
     extended_oscillator,
     hessian,
@@ -28,6 +29,7 @@ from phasekit import (
     sym,
     total_hamiltonian,
 )
+from phasekit import brackets
 from phasekit.expr import atom
 
 from _support import constant_registry
@@ -226,6 +228,67 @@ def test_search_detects_inconsistency():
     cs = ConstraintSet(primaries=(sym("p"),))
     with pytest.raises(ConstraintError):
         secondary_constraints(cs, sym("x"), chart)
+
+
+def test_gauged_search_differentiates_each_constraint_and_h_t_once(
+        registry, extended, monkeypatch):
+    phi = legendre(extended).primaries[0]
+    cs = ConstraintSet(primaries=(phi,),
+                       gauge=GaugeSpec((0.0, 1.0, 0.0, 10.0)))
+    total_h = total_hamiltonian(cs, num(10))
+    seen = []
+    gradient = brackets._gradient
+
+    def counting(e, chart, reg):
+        seen.append(e)
+        return gradient(e, chart, reg)
+
+    monkeypatch.setattr(brackets, "_gradient", counting)
+    secondary_constraints(cs, total_h, extended.chart, registry=registry,
+                          values_hint={"m": 1.0})
+    # phi and eta_gauge for the matrix, H_T for the flow
+    assert len(seen) == 3
+
+
+def _toy_search():
+    chart = Chart((("x", "p"),), label="toy")
+    cs = ConstraintSet(primaries=(sym("p"),))
+    return cs, parse("p^2/2 + x^2/2", ["x", "p"]), chart, None, None
+
+
+def _oscillator_search(registry, extended, gauge):
+    cs = ConstraintSet(primaries=(legendre(extended).primaries[0],),
+                       gauge=gauge)
+    lam = num(gauge.slope) if gauge is not None else sym("lam")
+    return (cs, total_hamiltonian(cs, lam), extended.chart, registry,
+            {"m": 1.0})
+
+
+@pytest.mark.parametrize("system, second_class", [
+    ("toy", (0, 1)), ("gauged", (0, 1)), ("ungauged", ())],
+    ids=["toy", "gauged", "ungauged"])
+def test_search_returns_the_matrix_of_the_closed_set(registry, extended,
+                                                     system, second_class):
+    cs, total_h, chart, reg, hint = (
+        _toy_search() if system == "toy" else _oscillator_search(
+            registry, extended,
+            GaugeSpec((0.0, 1.0, 0.0, 10.0)) if system == "gauged" else None))
+    search = secondary_constraints(cs, total_h, chart, registry=reg,
+                                   values_hint=hint)
+    closed = ConstraintSet(cs.primaries, search.secondaries, cs.gauge)
+    expected = constraint_matrix(closed.all_constraints(), chart,
+                                 registry=reg, values_hint=hint)
+    got = search.matrix
+    assert got.constraints == expected.constraints
+    assert got.delta == expected.delta
+    assert (got.first_class, got.second_class) == (
+        expected.first_class, expected.second_class)
+    assert got.second_class == second_class
+    if system == "toy":
+        # over (p, -x), {p, -x} = 1
+        assert equivalent(got.constraints[1], parse("-x", ["x"]))
+        assert got.delta == ((num(0), num(1)), (num(-1), num(0)))
+        assert got.inverse is not None
 
 
 # ---------------------------------------------------------------------------
