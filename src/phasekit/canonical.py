@@ -11,14 +11,17 @@ shifts D1(Q1,T), D2(Q2,T); ``complete`` derives the remaining pieces
 (prime: d/dQ_i, dot: d/dT), which makes the six-component map symplectic by
 construction.  The Q-integrals are done symbolically whenever the integrand
 is polynomial in the integration variable; otherwise the p_tau component
-carries quadrature terms evaluated on demand.
+carries quadrature terms.  The maps and their Jacobian are evaluated by one
+lowered jet per transform, from forward differentiation (``lower(wrt=)``):
+no symbolic partial is built for the Jacobian or the sampling gates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -88,35 +91,26 @@ class TransformSpec:
                     f"{name} may only depend on {_ALLOWED[name]}, found "
                     f"{sorted(extra)}"
                 )
-        if is_zero_expr(diff(self.a1, "Q1")):
-            raise DegenerateSpecError("dA1/dQ1 is identically zero")
-        if is_zero_expr(diff(self.a2, "Q2")):
-            raise DegenerateSpecError("dA2/dQ2 is identically zero")
-        if is_zero_expr(diff(self.b, "T")):
-            raise DegenerateSpecError("dB/dT is identically zero")
+        for leg, var, label in (("a1", "Q1", "dA1/dQ1"),
+                                ("a2", "Q2", "dA2/dQ2"), ("b", "T", "dB/dT")):
+            if is_zero_expr(diff(getattr(self, leg), var)):
+                raise DegenerateSpecError(f"{label} is identically zero")
 
     @classmethod
     def from_strings(cls, a1: str, a2: str, b: str,
                      d1: str = "0", d2: str = "0",
                      g: str = "0") -> "TransformSpec":
-        return cls(
-            a1=parse(a1, _ALLOWED["a1"]),
-            a2=parse(a2, _ALLOWED["a2"]),
-            b=parse(b, _ALLOWED["b"]),
-            d1=parse(d1, _ALLOWED["d1"]),
-            d2=parse(d2, _ALLOWED["d2"]),
-            g=parse(g, _ALLOWED["g"]),
-        )
+        texts = dict(a1=a1, a2=a2, b=b, d1=d1, d2=d2, g=g)
+        return cls(**{k: parse(t, _ALLOWED[k]) for k, t in texts.items()})
 
 
 @dataclass(frozen=True)
 class QuadTerm:
-    """prefactor(T) · ∫ integrand(s, T) ds from lower to the named variable."""
+    """prefactor(T) · ∫ integrand(s, T) ds from 0 to the named variable."""
 
     prefactor: PhaseExpr
     integrand: PhaseExpr
     var: str
-    lower: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -144,11 +138,11 @@ class Transform:
 
     maps: Dict[str, Component]
     chain: Optional[Tuple["Transform", "Transform"]] = None
-    # lowered evaluators, built on first use (see ``_lowered``)
-    _partials: Optional[Dict] = field(default=None, init=False, repr=False,
-                                      compare=False)
-    _residuals: Optional["_Lowered"] = field(default=None, init=False,
-                                             repr=False, compare=False)
+    # lowered evaluators, built on first use (see ``_jet``)
+    _partials: Optional["_Lowered"] = field(default=None, init=False,
+                                            repr=False, compare=False)
+    _residuals: Optional[Callable] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -213,102 +207,87 @@ def complete(spec: TransformSpec) -> Transform:
 # component calculus
 # --------------------------------------------------------------------------
 
-def component_partial(component: Component, variable: str) -> Component:
+def component_partial(component: Component, variable: str) -> PhaseExpr:
+    """Exact partial by a Q or P variable (T-partials come from the jet)."""
     if isinstance(component, PhaseExpr):
         return diff(component, variable)
     extra = diff(component.base, variable)
-    quads: List[QuadTerm] = []
     for term in component.quads:
         if variable == term.var:
             # fundamental theorem: d/dQ of the integral is the integrand
-            extra = simplify(extra + term.prefactor * term.integrand)
-        elif variable == "T":
-            dp = diff(term.prefactor, "T")
-            if not is_zero_expr(dp):
-                quads.append(QuadTerm(dp, term.integrand, term.var,
-                                      term.lower))
-            di = diff(term.integrand, "T")
-            if not is_zero_expr(di):
-                quads.append(QuadTerm(term.prefactor, di, term.var,
-                                      term.lower))
-        # Q of the other index and all momenta: the term is constant
-    if not quads:
-        return simplify(extra)
-    return ComponentMap(base=simplify(extra), quads=tuple(quads))
+            extra = extra + term.prefactor * term.integrand
+    return simplify(extra)
 
 
 class _Lowered:
-    """Components lowered once into one function of the new-chart state.
+    """The six maps of a transform and their Jacobian, lowered once.
 
-    Calling it with a point gives the component values in order.  The
-    bases and the quadrature prefactors come from one lowered call; each
-    quadrature term integrates its own lowered integrand.
+    ``lower`` differentiates the bases and the quadrature prefactors
+    forward, in one function.  A quadrature term pf(T)·∫ f(s, T) ds to Q
+    adds pf·f to its Q partial and pf'·∫f + pf·∫∂f/∂T to its T partial.
     """
 
     def __init__(self, components: Sequence[Component]):
         exprs = [c if isinstance(c, PhaseExpr) else c.base
                  for c in components]
-        self.count = len(exprs)
-        self.quads = []      # (component index, prefactor slot, term, fn)
+        self.quads = []      # (component index, prefactor slot, var, fn)
         for i, c in enumerate(components):
             if isinstance(c, ComponentMap):
                 for term in c.quads:
                     integrand = lower([term.integrand], NEW_VARS,
-                                      time_var=None)
-                    self.quads.append((i, len(exprs), term, integrand))
+                                      time_var=None, wrt=("T",))
+                    self.quads.append((i, len(exprs), term.var, integrand))
                     exprs.append(term.prefactor)
-        self.fn = lower(exprs, NEW_VARS, time_var=None)
+        self.fn = lower(exprs, NEW_VARS, time_var=None, wrt=NEW_VARS)
+        self.rows = len(exprs)
 
-    def __call__(self, point: Mapping[str, float]) -> List[float]:
+    def __call__(self, point: Mapping[str, float]) -> Tuple[List, List]:
+        """The six values and the 36 partials, row-major, at a state."""
         y = [float(point[v]) for v in NEW_VARS]
-        values = _finite(self.fn, None, y)
-        out = list(values[:self.count])
-        for i, slot, term, integrand in self.quads:
-            prefactor = values[slot]
-            if prefactor == 0.0:
+        out = _finite(self.fn, None, y)
+        values = list(out[:6])
+        partials = list(out[self.rows:self.rows + 36])
+        for i, slot, var, integrand in self.quads:
+            pf, pf_t = out[slot], out[self.rows + 6 * slot + 2]
+            partials[6 * i + NEW_VARS.index(var)] += (
+                pf * _finite(integrand, None, y)[0])
+            if pf == 0.0 and pf_t == 0.0:
                 continue
-            out[i] += prefactor * _quadrature(term, integrand, y)
-            if not math.isfinite(out[i]):
-                raise CanonicalError("transform component evaluated to a "
-                                     "non-finite value")
-        return out
+            total = _quadrature(var, integrand, y, 0)
+            values[i] += pf * total
+            partials[6 * i + 2] += (pf_t * total
+                                    + pf * _quadrature(var, integrand, y, 1))
+        if not all(map(math.isfinite, values + partials)):
+            raise CanonicalError("transform component evaluated to a "
+                                 "non-finite value")
+        return values, partials
 
 
-def _quadrature(term: QuadTerm, integrand, y: List[float]) -> float:
-    """∫ integrand ds from ``term.lower`` to the state's ``term.var``."""
+def _quadrature(var: str, integrand, y: List[float], k: int) -> float:
+    """∫ ds from 0 to the state's ``var`` of output ``k`` of the lowered
+    integrand: f for k = 0, ∂f/∂T for k = 1."""
     from scipy.integrate import quad
-    slot = NEW_VARS.index(term.var)
+    slot = NEW_VARS.index(var)
     inner = list(y)
 
     def f(s: float) -> float:
         inner[slot] = s
-        return _finite(integrand, None, inner)[0]
+        return _finite(integrand, None, inner)[k]
 
-    value, abserr = quad(f, term.lower, y[slot],
+    value, abserr = quad(f, 0.0, y[slot],
                          epsabs=1e-12, epsrel=1e-12, limit=200)
     if abserr > 1e-8 * max(1.0, abs(value)):
         raise CanonicalError(
-            f"quadrature for the {term.var} integral did not converge "
+            f"quadrature for the {var} integral did not converge "
             f"(estimated error {abserr})"
         )
     return value
 
 
-def _lowered(tr: Transform) -> Dict[str, _Lowered]:
-    """The maps, the Jacobian partials and the three gate partials of a
-    transform, each lowered on first use and kept in ``tr._partials``."""
+def _jet(tr: Transform) -> _Lowered:
+    """The transform's lowered jet, built on first use."""
     if tr._partials is None:
-        table = {
-            (row, col): component_partial(tr.maps[row], col)
-            for row in OLD_ORDER for col in NEW_VARS
-        }
-        tr._partials = {
-            "maps": _Lowered([tr.maps[name] for name in OLD_ORDER]),
-            "jacobian": _Lowered(list(table.values())),
-            "gates": _Lowered([table[("x1_tau", "Q1")],
-                               table[("x2_tau", "Q2")],
-                               table[("t_tau", "T")]]),
-        }
+        tr._partials = _Lowered([tr.maps[name] for name in OLD_ORDER])
     return tr._partials
 
 
@@ -317,7 +296,7 @@ def evaluate(tr: Transform, point: Mapping[str, float]) -> Dict[str, float]:
     if tr.chain is not None:
         outer, inner = tr.chain
         return evaluate(outer, _as_new_point(evaluate(inner, point)))
-    return dict(zip(OLD_ORDER, _lowered(tr)["maps"](point)))
+    return dict(zip(OLD_ORDER, _jet(tr)(point)[0]))
 
 
 def _as_new_point(old_values: Mapping[str, float]) -> Dict[str, float]:
@@ -340,21 +319,22 @@ def jacobian(tr: Transform, point: Mapping[str, float]) -> np.ndarray:
         mid = _as_new_point(evaluate(inner, point))
         return jacobian(outer, mid) @ jacobian(inner, point)
     try:
-        values = _lowered(tr)["jacobian"](point)
+        partials = _jet(tr)(point)[1]
     except NonFiniteError as exc:
         raise CanonicalError(f"singular denominator at {dict(point)}") from exc
-    return np.array(values).reshape(6, 6)
+    return np.array(partials).reshape(6, 6)
 
 
 def symplectic_defect(tr: Transform,
                       points: Sequence[Mapping[str, float]]) -> float:
-    """sup over points of max|MᵀJM − J|."""
+    """sup over points of max|MᵀJM − J|; overflow raises FloatingPointError."""
     j = NEW_CHART.poisson_matrix().astype(float)
     worst = 0.0
-    for point in points:
-        m = jacobian(tr, point)
-        defect = float(np.max(np.abs(m.T @ j @ m - j)))
-        worst = max(worst, defect)
+    with np.errstate(over="raise", invalid="raise"):
+        for point in points:
+            m = jacobian(tr, point)
+            defect = float(np.max(np.abs(m.T @ j @ m - j)))
+            worst = max(worst, defect)
     return worst
 
 
@@ -365,8 +345,11 @@ def sample_states(tr: Transform, count: int = 32,
 
     For a plain transform the gate is |dA_i/dQ_i| ≥ 0.05 and |dB/dT| ≥ 0.05
     at the point; for a composed one, every stage of the chain must pass
-    its own gate at the state it actually sees.
+    its own gate at the state it actually sees, with finite maps and
+    partials.  A constant that overflows a float raises ``NonFiniteError``
+    once, from lowering every stage before the first draw.
     """
+    _lower_stages(tr)
     rng = np.random.default_rng(seed)
     states: List[Dict[str, float]] = []
     attempts = 0
@@ -379,13 +362,18 @@ def sample_states(tr: Transform, count: int = 32,
             )
         point = {v: float(rng.uniform(-1.0, 1.0)) for v in NEW_VARS}
         try:
-            if not _passes_gates(tr, point):
-                continue
-            evaluate(tr, point)
+            if _passes_gates(tr, point):
+                states.append(point)
         except (CanonicalError, NonFiniteError):
             continue
-        states.append(point)
     return states
+
+
+def _lower_stages(tr: Transform) -> None:
+    if tr.chain is None:
+        _jet(tr)
+    for stage in tr.chain or ():
+        _lower_stages(stage)
 
 
 def _passes_gates(tr: Transform, point: Mapping[str, float]) -> bool:
@@ -395,8 +383,9 @@ def _passes_gates(tr: Transform, point: Mapping[str, float]) -> bool:
             return False
         mid = _as_new_point(evaluate(inner, point))
         return _passes_gates(outer, mid)
-    gates = _lowered(tr)["gates"](point)
-    return all(abs(g) >= 0.05 for g in gates)
+    partials = _jet(tr)(point)[1]
+    # dA1/dQ1, dA2/dQ2 and dB/dT: the first three diagonal entries
+    return all(abs(partials[7 * k]) >= 0.05 for k in range(3))
 
 
 # --------------------------------------------------------------------------
@@ -439,15 +428,8 @@ def _residual_components(tr: Transform) -> Tuple[Component, ...]:
 
     # F enters only through its Q/P partials, which are expression-backed
     # even when F itself needs quadrature
-    f_q1 = component_partial(f, "Q1")
-    f_q2 = component_partial(f, "Q2")
-    f_p1 = component_partial(f, "P1")
-    f_p2 = component_partial(f, "P2")
-    f_pt = component_partial(f, "P_T")
-    for partial in (f_q1, f_q2, f_p1, f_p2, f_pt):
-        if not isinstance(partial, PhaseExpr):
-            raise CanonicalError("F has quadrature terms in a Q/P partial; "
-                                 "this is outside the supported ansatz")
+    f_q1, f_q2, f_p1, f_p2, f_pt = (component_partial(f, v) for v in
+                                    ("Q1", "Q2", "P1", "P2", "P_T"))
 
     return (
         simplify(a1t * (c1p * p1 + d1p) + bt * f_q1
@@ -470,8 +452,9 @@ def ode_residuals(tr: Transform, point: Mapping[str, float]
     made after ``complete`` (corruption probes included) show up here.
     """
     if tr._residuals is None:
-        tr._residuals = _Lowered(_residual_components(tr))
-    return tuple(tr._residuals(point))
+        tr._residuals = lower(_residual_components(tr), NEW_VARS,
+                              time_var=None)
+    return _finite(tr._residuals, None, [float(point[v]) for v in NEW_VARS])
 
 
 # --------------------------------------------------------------------------

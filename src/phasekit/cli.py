@@ -86,11 +86,13 @@ from .expr import (
     EvalError,
     ExprError,
     ExprProfile,
+    NonFiniteError,
     ParseError,
     Profile,
     TabulatedProfile,
     eval_expr,
     from_rat,
+    lower,
     num,
     parse,
     render,
@@ -640,8 +642,9 @@ def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
                     f"override.{name}: not a component "
                     f"(expected one of {', '.join(OLD_ORDER)})"
                 )
-            try:
+            try:        # parsed, and every constant fits a float
                 maps[name] = parse(str(text), NEW_VARS)
+                lower([maps[name]], NEW_VARS, time_var=None)
             except ExprError as exc:
                 raise ConfigError(f"override.{name}: {exc}")
         tr = dataclasses.replace(tr, maps=maps)
@@ -657,7 +660,10 @@ def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
         if count > MAX_POINTS:
             raise ConfigError(
                 f"points: must be at most {MAX_POINTS}, got {count}")
-    states = sample_states(tr, count=count, seed=seed)
+    try:
+        states = sample_states(tr, count=count, seed=seed)
+    except NonFiniteError as exc:       # from lowering the spec's maps
+        raise ConfigError(f"transform: {exc}")
     defect = symplectic_defect(tr, states)
     residual = max(
         max(abs(r) for r in ode_residuals(tr, p)) for p in states
@@ -719,7 +725,7 @@ def _run_one(command: str, path_str: str, opts: Dict) -> Tuple[int, str]:
     except ConfigError as exc:
         return CONFIG_ERROR, f"error: {exc}"
     except (ConstraintError, BracketError, DynamicsError, InvariantError,
-            CanonicalError, EvalError) as exc:
+            CanonicalError, EvalError, FloatingPointError) as exc:
         return CHECK_FAILED, f"scenario '{path.stem}': {exc}"
 
 

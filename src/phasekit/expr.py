@@ -569,7 +569,7 @@ class AtomRegistry:
 def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
           registry: Optional[AtomRegistry] = None,
           params: Optional[Mapping[str, float]] = None,
-          time_var: Optional[str] = "t") -> Callable:
+          time_var: Optional[str] = "t", wrt: Sequence[str] = ()) -> Callable:
     """Compile expressions once into ``f(t, y) -> tuple`` of their values.
 
     ``inputs`` gives the meaning of ``y[i]``: a variable name binds that
@@ -585,8 +585,13 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
     ``ZeroDivisionError`` and an overflowing power or ``exp``
     ``OverflowError``; a constant or parameter that is not a finite float
     raises ``NonFiniteError`` here.
+
+    With input names in ``wrt``, ``f`` also returns the partials ∂e_i/∂w_j
+    after the values, row by row, from forward differentiation of the same
+    code (an atom raises ``EvalError``); zero tangents are never written.
     """
     slots = {key: i for i, key in enumerate(inputs)}
+    seeds = {name: {j: "1.0"} for j, name in enumerate(wrt)}
     params = params or {}
     if registry is not None:
         registry.freeze()
@@ -598,7 +603,10 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
         try:
             x = float(value)
         except OverflowError:
-            raise NonFiniteError(f"constant {value} overflows a float")
+            q = Fraction(value)
+            size = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+            raise NonFiniteError(
+                f"a constant of about 10^{size:.0f} overflows a float")
         if not math.isfinite(x):
             raise NonFiniteError(f"constant {value} is not finite")
         return f"({x!r})"
@@ -617,51 +625,84 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
         lines.append(f"    {target} = {code}\n")
         return target
 
+    def tangents(terms: Dict[int, List[str]]) -> Dict[int, str]:
+        # one sum per input; a lone name needs no assignment of its own
+        return {j: ts[0] if len(ts) == 1 and " " not in ts[0]
+                else assign(" + ".join(ts)) for j, ts in terms.items()}
+
+    def times(*factors: str) -> str:
+        # a product; the seed tangent 1.0 is left out
+        return " * ".join(f for f in factors if f != "1.0") or "1.0"
+
     def profile(e: Atom) -> str:
         if registry is None:
             raise EvalError(f"no registry supplied for atom '{e.name}'")
         p = registry.profile(e.name)
         if isinstance(p, ExprProfile):
-            g = emit(p.factor(e.order), e.arg)
+            g = emit(p.factor(e.order), e.arg)[0]
             if is_zero_expr(p.exponent):
                 return g
-            return assign(f"{g} * _exp({emit(p.exponent, e.arg)})")
+            return assign(f"{g} * _exp({emit(p.exponent, e.arg)[0]})")
         fn = f"_profile_{len(glb)}"
         glb[fn] = p.value
         return assign(f"{fn}({e.order}, {symbol(e.arg)})")
 
-    def emit(e: PhaseExpr, arg: Optional[str] = None) -> str:
+    def emit(e: PhaseExpr, arg: Optional[str] = None) -> Tuple[str, Dict]:
+        # the value's name and its nonzero tangents by position in ``wrt``;
         # inside a profile's expression, ``t`` stands for the variable ``arg``
         if isinstance(e, Num):
-            return constant(e.value)
+            return constant(e.value), {}
         if isinstance(e, Sym):
             if arg is None:
-                return symbol(e.name)
+                return symbol(e.name), seeds.get(e.name, {})
             if e.name == "t":
-                return symbol(arg)
+                return symbol(arg), {}
             raise UnboundVariableError(f"variable '{e.name}' is not bound")
         if isinstance(e, Atom):
+            if seeds:
+                raise EvalError(f"atom '{e.name}' cannot be differentiated")
             if arg is not None:
                 raise EvalError(f"atom '{e.name}' in a profile expression")
             if e in slots:
-                return f"y[{slots[e]}]"
+                return f"y[{slots[e]}]", {}
             if e not in atom_calls:
                 atom_calls[e] = profile(e)
-            return atom_calls[e]
-        if isinstance(e, Add):
-            return assign(" + ".join(emit(t, arg) for t in e.terms) or "0.0")
-        if isinstance(e, Mul):
-            return assign(" * ".join(emit(f, arg) for f in e.factors)
-                          or "1.0")
+            return atom_calls[e], {}
+        if isinstance(e, (Add, Mul)):
+            add = isinstance(e, Add)
+            parts = [emit(f, arg) for f in (e.terms if add else e.factors)]
+            names = [v for v, _ in parts]
+            terms: Dict[int, List[str]] = {}
+            for k, (_, d) in enumerate(parts):
+                for j, dv in d.items():
+                    # a product's tangent is Σ_k (Π_{l≠k} f_l)·f_k'
+                    terms.setdefault(j, []).append(
+                        dv if add else times(*names[:k], *names[k + 1:], dv))
+            value = assign((" + " if add else " * ").join(names)
+                           or ("0.0" if add else "1.0"))
+            return value, tangents(terms)
         if isinstance(e, Pow):
-            return assign(f"{emit(e.base, arg)} ** {e.exp}")
+            b, d = emit(e.base, arg)
+            value = assign(f"{b} ** {e.exp}")
+            # n·b^(n-1)·b', zero for n = 0: b ** -1 is never written
+            slope = "1.0" if e.exp == 1 else f"{e.exp} * {b} ** {e.exp - 1}"
+            return value, tangents({j: [times(slope, dv)]
+                                    for j, dv in d.items() if e.exp})
         if isinstance(e, Div):
-            return assign(f"{emit(e.num, arg)} / {emit(e.den, arg)}")
+            (a, da), (b, db) = emit(e.num, arg), emit(e.den, arg)
+            value = assign(f"{a} / {b}")
+            out = {}
+            for j in sorted(da.keys() | db.keys()):     # (a' - v·b') / b
+                minus = f" - {times(value, db[j])}" if j in db else ""
+                out[j] = assign(f"({da.get(j, '')}{minus}) / {b}")
+            return value, out
         raise TypeError(f"not a PhaseExpr node: {e!r}")
 
     results = [emit(e) for e in exprs]
+    outputs = [v for v, _ in results] + [
+        d.get(j, "0.0") for _, d in results for j in range(len(wrt))]
     source = ("def _lowered(t, y):\n" + "".join(lines)
-              + f"    return ({''.join(r + ', ' for r in results)})\n")
+              + f"    return ({''.join(r + ', ' for r in outputs)})\n")
     exec(source, glb)
     return glb["_lowered"]
 

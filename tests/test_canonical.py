@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasekit import (
     CanonicalError,
@@ -9,11 +11,15 @@ from phasekit import (
     DegenerateSpecError,
     NEW_CHART,
     TransformSpec,
+    canonical,
     complete,
     compose,
+    diff,
     equivalent,
     evaluate,
+    expr,
     jacobian,
+    lower,
     num,
     ode_residuals,
     parse,
@@ -25,6 +31,7 @@ from phasekit import (
 from _support import random_spec_texts
 
 NEW_VARS = NEW_CHART.variables
+OLD = ("x1_tau", "x2_tau", "t_tau", "p1_tau", "p2_tau", "p_tau")
 J = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
 
 
@@ -125,8 +132,63 @@ def test_jacobian_matches_finite_differences():
             assert m[i, j] == pytest.approx(fd, abs=5e-6)
 
 
+def reference_jacobian(tr, point):
+    """The 36 exact partials of expression-backed maps, lowered: the
+    symbolic table that the Jacobian came from before the lowered jet."""
+    table = lower([diff(tr.maps[row], col) for row in OLD for col in NEW_VARS],
+                  NEW_VARS, time_var=None)
+    return np.array(table(None, [point[v] for v in NEW_VARS])).reshape(6, 6)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_jet_jacobian_matches_the_symbolic_partials(seed):
+    tr = complete(spec_of(**random_spec_texts(np.random.default_rng(seed))))
+    for point in sample_states(tr, count=4, seed=seed):
+        reference = reference_jacobian(tr, point)
+        gap = np.abs(jacobian(tr, point) - reference)
+        assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(reference)))
+
+
+def test_sampling_and_defect_take_no_symbolic_partials(monkeypatch):
+    transforms = [complete(spec_of(**POLY)), quadrature_transform()]
+    calls = []
+    real = expr.diff
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for module in (expr, canonical):
+        monkeypatch.setattr(module, "diff", counting)
+    for tr in transforms:
+        symplectic_defect(tr, sample_states(tr, count=8))
+    assert calls == []
+    # the counter sees the residuals' partials, which are still exact
+    ode_residuals(transforms[0], sample_states(transforms[0], count=1)[0])
+    assert calls
+
+
 def quadrature_transform():
     return complete(spec_of(a1="Q1", a2="Q2", b="T", d1="T/(1 + Q1^2)"))
+
+
+def test_quadrature_jacobian_matches_finite_differences():
+    # the prefactor 1/B' = 1/(1 + T^2) and the integrand 2T/(1 + Q1^2)
+    # both move with T, so the T column needs both of its terms
+    tr = complete(spec_of(a1="Q1", a2="Q2", b="T + T^3/3",
+                          d1="T^2/(1 + Q1^2)"))
+    assert isinstance(tr.maps["p_tau"], ComponentMap)
+    point = sample_states(tr, count=1, seed=5)[0]
+    m = jacobian(tr, point)
+    assert abs(m[5, 2]) > 0.1
+    h = 1e-5
+    for j, v in enumerate(NEW_VARS):
+        up = evaluate(tr, {**point, v: point[v] + h})
+        dn = evaluate(tr, {**point, v: point[v] - h})
+        for i, name in enumerate(OLD):
+            fd = (up[name] - dn[name]) / (2 * h)
+            assert m[i, j] == pytest.approx(fd, abs=1e-8)
 
 
 def test_quadrature_route_stays_symplectic():

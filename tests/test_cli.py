@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import phasekit
@@ -743,6 +743,45 @@ def test_analyze_exits_0_on_every_gauge_window(tmp_path_factory, tau, t):
     assert set(summary["gauge"]["dirac_brackets"]) == set(DIRAC_GOLDEN)
 
 
+# override: maps over the new chart, with integers up to 10^400, powers
+# from -3 to 3 and quotients, (T-T) among the divisors
+override_leaves = st.one_of(
+    st.sampled_from(["Q1", "Q2", "T", "P1", "P2", "P_T", "(T-T)"]),
+    st.integers(-9, 9).map(lambda n: f"({n})"),
+    st.integers(0, 10 ** 400).map(str),
+    st.sampled_from([10 ** 400, 2 ** 1024, 10 ** 308]).map(str))
+override_texts = st.recursive(override_leaves, lambda inner: st.one_of(
+    st.builds(lambda a, b: f"{a} + {b}", inner, inner),
+    st.builds(lambda a, b: f"({a})*({b})", inner, inner),
+    st.builds(lambda a, b: f"({a})/({b})", inner, inner),
+    st.builds(lambda a, k: f"({a})^{k}", inner, st.integers(-3, 3)),
+), max_leaves=5)
+override_sections = st.dictionaries(
+    st.sampled_from(["x1_tau", "x2_tau", "t_tau", "p1_tau", "p2_tau",
+                     "p_tau"]), override_texts, min_size=1, max_size=2)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=override_sections)
+# finite maps whose products in MᵀJM overflow a float
+@example(overrides={"x1_tau": "10^200*Q1", "p1_tau": "10^200*P1"})
+def test_transform_overrides_end_in_an_exit_code(tmp_path_factory,
+                                                 overrides):
+    cfg = yaml.safe_load((CONFIGS / "transform.yaml").read_text())
+    cfg["override"] = overrides
+    work = tmp_path_factory.mktemp("override")
+    path = write_config(work, "override.yaml", cfg)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["transform-check", str(path), "--out", str(work),
+                         "--points", "3", "--jobs", "1"])
+    text = out.getvalue().strip()
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert text.startswith("error: ") and "\n" not in text
+    for summary in work.glob("*.json"):
+        json.loads(summary.read_text())
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -959,6 +998,25 @@ def test_degenerate_transform_expression_exits_2(tmp_path, capsys, cfg,
                         "--out", str(tmp_path))
     assert code == 2
     assert out.strip() == f"error: {where}: division by a zero expression"
+
+
+@pytest.mark.parametrize("cfg, where", [
+    ({"transform": {"a1": "Q1 + T*10^400", "a2": "Q2", "b": "T"}},
+     "transform"),
+    ({"transform": {"a1": "Q1", "a2": "Q2", "b": "T"},
+      "override": {"p1_tau": "P1*10^400"}}, "override.p1_tau"),
+])
+def test_a_constant_past_the_float_range_exits_2(tmp_path, capsys, cfg,
+                                                 where):
+    # the maps are lowered once, before sampling, and the reason gives the
+    # constant's size instead of its 401 digits
+    path = write_config(tmp_path, "huge.yaml", cfg)
+    with deadline(10):
+        code, out = run_cli(capsys, "transform-check", str(path),
+                            "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == (f"error: {where}: a constant of about 10^400 "
+                           "overflows a float")
 
 
 @pytest.mark.parametrize("keys, reason", [

@@ -483,6 +483,72 @@ def test_eval_expr_matches_exact_rational_value(e, point):
     assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
+# ---------------------------------------------------------------------------
+# forward differentiation: lower(..., wrt=...) against lower of diff
+# ---------------------------------------------------------------------------
+
+def jet_and_reference(e, y, wrt=VARS):
+    """lower(wrt=...) of a tree, and lower of its exact partials."""
+    jet = lower([e], VARS, time_var=None, wrt=wrt)
+    reference = lower([e] + [diff(e, v) for v in wrt], VARS, time_var=None)
+    return jet(None, y), reference(None, y)
+
+
+def test_lower_tangent_of_a_zeroth_power_is_zero_at_base_zero():
+    # a raw (x - 1)^0: no tangent is written, so no (x - 1) ** -1 runs
+    e = Pow(Add((sym("x"), num(-1))), 0)
+    jet, reference = jet_and_reference(e, [1.0, 0.5, 0.25])
+    assert jet == reference == (1.0, 0.0, 0.0, 0.0)
+
+
+def test_lower_tangent_of_a_negative_power():
+    e = Pow(Add((sym("x"), sym("y"))), -2)
+    jet, reference = jet_and_reference(e, [0.25, 0.25, 3.0])
+    assert jet == reference == (4.0, -16.0, -16.0, 0.0)
+    # at base zero the value and its tangent both divide by zero
+    f = lower([e], VARS, time_var=None, wrt=VARS)
+    with pytest.raises(ZeroDivisionError):
+        f(None, [0.5, -0.5, 3.0])
+
+
+def test_lower_tangent_of_a_quotient():
+    # x*y/(y + z): partials y/(y+z), x*z/(y+z)^2 and -x*y/(y+z)^2
+    e = Div(Mul((sym("x"), sym("y"))), Add((sym("y"), sym("z"))))
+    jet, reference = jet_and_reference(e, [0.5, 2.0, -0.75])
+    closed = (0.8, 1.6, -0.24, -0.64)
+    assert jet == pytest.approx(closed, rel=1e-15)
+    assert jet == pytest.approx(reference, rel=1e-15)
+
+
+def test_lower_writes_no_zero_tangent():
+    e = expr_of("x*y + x^2")
+    plain = lower([e], VARS, time_var=None)
+    by_z = lower([e], VARS, time_var=None, wrt=("z",))
+    assert by_z(None, [1.0, 2.0, 3.0]) == plain(None, [1.0, 2.0, 3.0]) + (0.0,)
+    # the same locals: nothing was assigned for the zero tangent
+    assert by_z.__code__.co_varnames == plain.__code__.co_varnames
+
+
+def test_lower_refuses_to_differentiate_an_atom():
+    g = atom("g", "t")
+    with pytest.raises(EvalError, match="cannot be differentiated"):
+        lower([Mul((g, sym("x")))], ("x", g), time_var=None, wrt=("x",))
+
+
+@given(rational_exprs(), st.fixed_dictionaries(
+    {v: st.integers(-16, 16).map(lambda k: k / 8) for v in VARS}))
+def test_lower_tangents_match_lowered_partials(e, point):
+    # raw trees with quotients and powers from -2 to 2, 0 included
+    y = [point[v] for v in VARS]
+    try:
+        jet, reference = jet_and_reference(e, y)
+    except (ExprError, ZeroDivisionError):
+        # a zero normal form, or a pole of the tree or of its normal form
+        assume(False)
+    for a, b in zip(jet, reference):
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
 def test_free_symbols_sees_atom_arguments():
     reg = constant_registry()
     e = parse("w(t_tau)^2 * x1", ["x1", "t_tau"], reg)
