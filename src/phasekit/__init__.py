@@ -87,15 +87,12 @@ from .invariants import (
     DriftReport,
     ErmakovBlowupError,
     ErmakovConfig,
-    ErmakovSolution,
     InvariantError,
     co_integrate,
     ermakov_equations,
     ermakov_residuals,
-    export_invariant_csv,
     invariant_drift_report,
     lewis_invariant,
-    solution_from_trajectory,
     solve_ermakov,
 )
 from .canonical import (

@@ -399,7 +399,6 @@ def _residual_components(tr: Transform) -> Tuple[Component, ...]:
             "composed transform has no maps of its own, check "
             "symplectic_defect instead"
         )
-    p1, p2 = sym("P1"), sym("P2")
     a1 = tr.maps["x1_tau"]
     a2 = tr.maps["x2_tau"]
     b = tr.maps["t_tau"]
@@ -414,17 +413,13 @@ def _residual_components(tr: Transform) -> Tuple[Component, ...]:
                 "defined for expression-backed maps"
             )
 
-    c1 = diff(pm1, "P1")
-    c2 = diff(pm2, "P2")
-    d1 = simplify(pm1 - c1 * p1)
-    d2 = simplify(pm2 - c2 * p2)
     a1p, a1t = diff(a1, "Q1"), diff(a1, "T")
     a2p, a2t = diff(a2, "Q2"), diff(a2, "T")
     bt = diff(b, "T")
-    c1p, c1t = diff(c1, "Q1"), diff(c1, "T")
-    c2p, c2t = diff(c2, "Q2"), diff(c2, "T")
-    d1p, d1t = diff(d1, "Q1"), diff(d1, "T")
-    d2p, d2t = diff(d2, "Q2"), diff(d2, "T")
+    # the equations split p_i = c_i P_i + d_i with c_i = dp_i/dP_i; for any
+    # map c_i' P_i + d_i' = dp_i/dQ_i and c_i-dot P_i + d_i-dot = dp_i/dT
+    pm1p, pm1q, pm1t = diff(pm1, "P1"), diff(pm1, "Q1"), diff(pm1, "T")
+    pm2p, pm2q, pm2t = diff(pm2, "P2"), diff(pm2, "Q2"), diff(pm2, "T")
 
     # F enters only through its Q/P partials, which are expression-backed
     # even when F itself needs quadrature
@@ -432,15 +427,13 @@ def _residual_components(tr: Transform) -> Tuple[Component, ...]:
                                     ("Q1", "Q2", "P1", "P2", "P_T"))
 
     return (
-        simplify(a1t * (c1p * p1 + d1p) + bt * f_q1
-                 - (c1t * p1 + d1t) * a1p),
-        simplify(a2t * (c2p * p2 + d2p) + bt * f_q2
-                 - (c2t * p2 + d2t) * a2p),
-        simplify(c1 * a1t + bt * f_p1),
-        simplify(c2 * a2t + bt * f_p2),
+        simplify(a1t * pm1q + bt * f_q1 - pm1t * a1p),
+        simplify(a2t * pm2q + bt * f_q2 - pm2t * a2p),
+        simplify(pm1p * a1t + bt * f_p1),
+        simplify(pm2p * a2t + bt * f_p2),
         simplify(bt * f_pt - num(1)),
-        simplify(c1 * a1p - num(1)),
-        simplify(c2 * a2p - num(1)),
+        simplify(pm1p * a1p - num(1)),
+        simplify(pm2p * a2p - num(1)),
     )
 
 

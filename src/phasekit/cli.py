@@ -104,10 +104,8 @@ from .invariants import (
     InvariantError,
     co_integrate,
     ermakov_residuals,
-    export_invariant_csv,
     invariant_drift_report,
     lewis_invariant,
-    solution_from_trajectory,
 )
 
 OK = 0
@@ -155,12 +153,18 @@ def load_config(path: Path) -> Mapping:
     if not path.exists():
         raise ConfigError(f"{path}: no such file")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}")
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
-        raise ConfigError(f"{where}: {getattr(exc, 'problem', exc)}")
+        # a reader error has no problem, and its text spans two lines
+        reason = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"{where}: {reason}")
     if data is None:
         data = {}
     if not isinstance(data, Mapping):
@@ -203,7 +207,7 @@ def _pair(section, key, where) -> Optional[Tuple[float, float]]:
     if key not in section:
         return None
     raw = section[key]
-    if not isinstance(raw, Sequence) or len(raw) != 2:
+    if not isinstance(raw, list) or len(raw) != 2:
         raise ConfigError(f"{where}.{key}: expected [lo, hi]")
     lo, hi = (_number({key: v}, key, None, where) for v in raw)
     return lo, hi
@@ -575,16 +579,17 @@ def run_invariant(scenario: Scenario, out_dir: Path,
         })
         return CHECK_FAILED, "\n".join(lines)
 
-    sol = solution_from_trajectory(traj)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            values = lewis_invariant(traj, sol, cfg)
+            values = lewis_invariant(traj, cfg)
             report = invariant_drift_report(values, traj.grid)
-            residual = float(np.max(np.abs(ermakov_residuals(sol, cfg))))
+            residual = float(np.max(np.abs(ermakov_residuals(traj, cfg))))
     except (OverflowError, FloatingPointError) as exc:
         raise InvariantError(f"the invariant or the auxiliary-equation "
                              f"residual overflows a float ({exc})")
-    export_invariant_csv(out_dir / "invariant.csv", sol, values)
+    series = {"rho": traj.series["rho"], "rho_dot": traj.series["rho_dot"],
+              "I": values}
+    write_csv(Trajectory(traj.grid, series), out_dir / "invariant.csv")
 
     lines.append(f"I(0) = {float(values[0]):.12g}")
     lines.append(

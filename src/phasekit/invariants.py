@@ -9,7 +9,8 @@ guarded ``integrate`` call that turns every failure of rho into
 ``ErmakovBlowupError``.  ``co_integrate`` runs the oscillator's Hamilton
 equations, derived by ``dynamics.original_equations``, plus
 ``ermakov_equations`` as one coupled system, so the invariant is checked
-on one grid with no interpolation error.
+on one grid with no interpolation error.  Both return a ``Trajectory``
+whose series rho and rho_dot are the auxiliary solution.
 """
 
 from __future__ import annotations
@@ -85,22 +86,6 @@ class ErmakovConfig:
             raise InvariantError("nu must be non-negative")
 
 
-@dataclass
-class ErmakovSolution:
-    grid: np.ndarray
-    rho: np.ndarray
-    rho_dot: np.ndarray
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.rho = np.asarray(self.rho, dtype=float)
-        self.rho_dot = np.asarray(self.rho_dot, dtype=float)
-        if np.any(self.rho <= 0):
-            bad = int(np.argmax(self.rho <= 0))
-            last = float(self.grid[bad - 1]) if bad else float(self.grid[0])
-            raise ErmakovBlowupError(last)
-
-
 def ermakov_equations(cfg: ErmakovConfig) -> Dict[str, PhaseExpr]:
     """First-order form of the auxiliary equation; nu = 0 drops the
     repulsive term (the linear reduction)."""
@@ -145,15 +130,15 @@ def _integrate_guarded(cfg: ErmakovConfig, eom: Mapping[str, PhaseExpr],
 
 def solve_ermakov(cfg: ErmakovConfig,
                   policy: IntegratorPolicy = IntegratorPolicy(),
-                  points: int = 201) -> ErmakovSolution:
-    """Integrate the auxiliary equation over the configured span.
+                  points: int = 201) -> Trajectory:
+    """Integrate the auxiliary equation over the configured span; the
+    trajectory holds the series rho and rho_dot.
 
     Raises ``ErmakovBlowupError`` with the last valid time if rho reaches
     the positivity barrier (which the nu > 0 repulsive term normally
     prevents, but nu = 0 or extreme data can defeat).
     """
-    traj = _integrate_guarded(cfg, ermakov_equations(cfg), {}, policy, points)
-    return solution_from_trajectory(traj)
+    return _integrate_guarded(cfg, ermakov_equations(cfg), {}, policy, points)
 
 
 def co_integrate(cfg: ErmakovConfig, oscillator_init: Mapping[str, float],
@@ -170,29 +155,24 @@ def co_integrate(cfg: ErmakovConfig, oscillator_init: Mapping[str, float],
     return _integrate_guarded(cfg, eom, oscillator_init, policy, points)
 
 
-def solution_from_trajectory(traj: Trajectory) -> ErmakovSolution:
-    return ErmakovSolution(
-        grid=traj.grid, rho=traj.series["rho"], rho_dot=traj.series["rho_dot"]
-    )
+def _series(traj: Trajectory, *names: str):
+    missing = [n for n in names if n not in traj.series]
+    if missing:
+        raise InvariantError(f"the trajectory has no series "
+                             f"{', '.join(missing)}")
+    return [traj.series[n] for n in names]
 
 
-def lewis_invariant(traj: Trajectory, sol: ErmakovSolution,
-                    cfg: ErmakovConfig) -> np.ndarray:
-    """I(t) along the trajectory.
+def lewis_invariant(traj: Trajectory, cfg: ErmakovConfig) -> np.ndarray:
+    """I(t) along a ``co_integrate`` trajectory.
 
     I = 1/2 [ (m f⁻¹ rho' x1 − rho p1)² + nu² x1²/rho²
             + (m f⁻¹ rho' x2 − rho p2)² + nu² x2²/rho² ]
     """
-    grid = traj.grid
-    if sol.grid.shape != grid.shape or not np.allclose(sol.grid, grid,
-                                                       rtol=0, atol=1e-12):
-        raise InvariantError("the solution is not on the trajectory's grid")
-    rho, rho_dot = sol.rho, sol.rho_dot
-
+    rho, rho_dot, x1, x2, p1, p2 = _series(
+        traj, "rho", "rho_dot", "x1", "x2", "p1", "p2")
     f_value = cfg.registry.profile("f").value
-    f = np.array([f_value(0, float(t)) for t in grid])
-    x1, x2 = traj.series["x1"], traj.series["x2"]
-    p1, p2 = traj.series["p1"], traj.series["p2"]
+    f = np.array([f_value(0, float(t)) for t in traj.grid])
     m, nu = cfg.m, float(cfg.nu)
 
     a1 = m * rho_dot * x1 / f - rho * p1
@@ -223,13 +203,14 @@ def invariant_drift_report(values, grid) -> DriftReport:
                        mode=mode)
 
 
-def ermakov_residuals(sol: ErmakovSolution, cfg: ErmakovConfig) -> np.ndarray:
+def ermakov_residuals(traj: Trajectory, cfg: ErmakovConfig) -> np.ndarray:
     """Finite-difference residual of the auxiliary ODE on interior points.
 
     Fourth-order central differences of the rho' series approximate rho'';
     the grid must be uniform.
     """
-    grid, rho, rho_dot = sol.grid, sol.rho, sol.rho_dot
+    grid = traj.grid
+    rho, rho_dot = _series(traj, "rho", "rho_dot")
     if grid.size < 5:
         raise InvariantError("need at least five points for the residual")
     h = np.diff(grid)
@@ -250,18 +231,3 @@ def ermakov_residuals(sol: ErmakovSolution, cfg: ErmakovConfig) -> np.ndarray:
     f = np.array([reg.profile("f").value(0, float(t)) for t in t_in])
     forcing = (float(cfg.nu) ** 2) * f ** 2 / (cfg.m ** 2 * rho_in ** 3)
     return rho_dd + eta * rho_dot_in + w ** 2 * rho_in - forcing
-
-
-def export_invariant_csv(path, sol: ErmakovSolution, values) -> None:
-    """CSV of (t, rho, rho_dot, I) with 17 significant digits."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != sol.grid.shape:
-        raise InvariantError("invariant series length does not match the grid")
-    lines = ["t,rho,rho_dot,I"]
-    for i in range(sol.grid.size):
-        lines.append(",".join(
-            f"{v:.17g}" for v in
-            (sol.grid[i], sol.rho[i], sol.rho_dot[i], arr[i])
-        ))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

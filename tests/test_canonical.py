@@ -1,5 +1,7 @@
 """Completion of separable transformation data and symplectic conformance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from phasekit import (
     ode_residuals,
     parse,
     sample_states,
+    simplify,
     symplectic_defect,
     sym,
 )
@@ -210,6 +213,57 @@ def test_randomized_specs_conform():
         assert max(abs(r) for p in pts for r in ode_residuals(tr, p)) < 1e-9
 
 
+def reference_residuals(tr):
+    """The seven residuals as first written: p_i split as c_i P_i + d_i,
+    with c_i = dp_i/dP_i, and the equations put in c_i, d_i and their
+    Q_i and T partials."""
+    a1, a2, b = tr.maps["x1_tau"], tr.maps["x2_tau"], tr.maps["t_tau"]
+    pm1, pm2, f = tr.maps["p1_tau"], tr.maps["p2_tau"], tr.maps["p_tau"]
+    p1, p2 = sym("P1"), sym("P2")
+    c1, c2 = diff(pm1, "P1"), diff(pm2, "P2")
+    d1, d2 = simplify(pm1 - c1 * p1), simplify(pm2 - c2 * p2)
+    a1p, a1t = diff(a1, "Q1"), diff(a1, "T")
+    a2p, a2t = diff(a2, "Q2"), diff(a2, "T")
+    bt = diff(b, "T")
+    c1p, c1t = diff(c1, "Q1"), diff(c1, "T")
+    c2p, c2t = diff(c2, "Q2"), diff(c2, "T")
+    d1p, d1t = diff(d1, "Q1"), diff(d1, "T")
+    d2p, d2t = diff(d2, "Q2"), diff(d2, "T")
+    f_q1, f_q2, f_p1, f_p2, f_pt = (canonical.component_partial(f, v)
+                                    for v in ("Q1", "Q2", "P1", "P2", "P_T"))
+    return (
+        simplify(a1t * (c1p * p1 + d1p) + bt * f_q1
+                 - (c1t * p1 + d1t) * a1p),
+        simplify(a2t * (c2p * p2 + d2p) + bt * f_q2
+                 - (c2t * p2 + d2t) * a2p),
+        simplify(c1 * a1t + bt * f_p1),
+        simplify(c2 * a2t + bt * f_p2),
+        simplify(bt * f_pt - num(1)),
+        simplify(c1 * a1p - num(1)),
+        simplify(c2 * a2p - num(1)),
+    )
+
+
+OVERRIDE_TERMS = ("1", "Q1", "Q2", "T", "P1", "P2", "P_T", "Q1*P1", "T*P2",
+                  "Q2^2*P2", "T^2*P1", "P1^2", "P1/(2 + T^2)",
+                  "Q1/(1 + Q1^2)")
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       component=st.sampled_from(OLD + (None,)),
+       terms=st.lists(st.tuples(st.integers(-3, 3),
+                                st.sampled_from(OVERRIDE_TERMS)),
+                      min_size=1, max_size=4))
+def test_residuals_match_the_split_momentum_form(seed, component, terms):
+    tr = complete(spec_of(**random_spec_texts(np.random.default_rng(seed))))
+    if component is not None:
+        text = " + ".join(f"({c})*{m}" for c, m in terms)
+        tr = dataclasses.replace(
+            tr, maps={**tr.maps, component: parse(text, NEW_VARS)})
+    assert canonical._residual_components(tr) == reference_residuals(tr)
+
+
 def test_determinant_is_unity():
     tr = complete(spec_of(**POLY))
     for point in sample_states(tr, count=8):
@@ -223,17 +277,11 @@ def test_determinant_is_unity():
 def test_corrupted_momentum_breaks_conformance():
     tr = complete(spec_of(**POLY))
     bad = dict(tr.maps)
-    bad["p1_tau"] = simplify_expr(num(2) * bad["p1_tau"])
-    import dataclasses
+    bad["p1_tau"] = simplify(num(2) * bad["p1_tau"])
     broken = dataclasses.replace(tr, maps=bad)
     pts = sample_states(broken, count=8)
     assert symplectic_defect(broken, pts) > 1e-3
     assert max(abs(r) for p in pts for r in ode_residuals(broken, p)) > 1e-3
-
-
-def simplify_expr(e):
-    from phasekit import simplify
-    return simplify(e)
 
 
 # ---------------------------------------------------------------------------

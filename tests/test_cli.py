@@ -222,6 +222,39 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "no such file" in out
 
 
+@pytest.mark.parametrize("content, reason", [
+    (None, "cannot read: Is a directory"),
+    (b"a: 1\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 5: "
+                       "invalid start byte"),
+    (b"a: \x001\n", "unacceptable character #x0000: special characters are "
+                    "not allowed"),
+], ids=["directory", "byte-0xff", "nul-byte"])
+def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, content,
+                                                 reason):
+    path = tmp_path / "bad.yaml"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out = run_cli(capsys, "analyze", str(path),
+                        "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out.strip() == f"error: {path}: {reason}"
+
+
+@pytest.mark.parametrize("section, key", [
+    ("gauge", "tau"), ("gauge", "t"), ("run", "span"),
+])
+def test_a_two_character_string_is_not_a_pair(tmp_path, capsys, section,
+                                              key):
+    cfg = short_oscillator()
+    cfg[section][key] = "01"
+    path = write_config(tmp_path, "pair.yaml", cfg)
+    code, out = run_cli(capsys, "analyze", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == f"error: {section}.{key}: expected [lo, hi]"
+
+
 def test_empty_spans_exit_2(tmp_path, capsys):
     bad_run = write_config(tmp_path, "run.yaml",
                            {"run": {"span": [1.0, 1.0]}})
@@ -859,8 +892,9 @@ def test_invariant_run(tmp_path, capsys):
     assert summary["status"] == "ok"
     assert summary["max_drift"] < 1e-6
     assert summary["ode_residual"] < 1e-6
-    header = (tmp_path / "invariant.csv").read_text().splitlines()[0]
-    assert header == "t,rho,rho_dot,I"
+    lines = (tmp_path / "invariant.csv").read_text().splitlines()
+    assert lines[0] == "t,rho,rho_dot,I"
+    assert len(lines) == 802        # the header and run.points: 801 rows
 
 
 def test_invariant_summary_reports_integrator_stats(tmp_path, capsys,

@@ -8,20 +8,18 @@ import pytest
 from phasekit import (
     ErmakovBlowupError,
     ErmakovConfig,
-    ErmakovSolution,
     ExprProfile,
     IntegratorPolicy,
     InvariantError,
     StepSizeUnderflowError,
+    Trajectory,
     co_integrate,
     ermakov_residuals,
-    export_invariant_csv,
     invariant_drift_report,
     lewis_invariant,
     num,
     oscillator_registry,
     parse,
-    solution_from_trajectory,
     solve_ermakov,
 )
 
@@ -45,8 +43,8 @@ def test_constant_solution_stays_constant():
     cfg = ErmakovConfig(constant_registry(omega), (0.0, 10.0), m=m, nu=nu,
                         rho0=rho0)
     sol = solve_ermakov(cfg, TIGHT, points=201)
-    assert float(np.max(np.abs(sol.rho - rho0))) < 1e-10
-    assert float(np.max(np.abs(sol.rho_dot))) < 1e-10
+    assert float(np.max(np.abs(sol.series["rho"] - rho0))) < 1e-10
+    assert float(np.max(np.abs(sol.series["rho_dot"]))) < 1e-10
     assert float(np.max(np.abs(ermakov_residuals(sol, cfg)))) < 1e-12
 
 
@@ -87,13 +85,6 @@ def test_step_size_underflow_reports_last_valid_time(run):
     assert err.value.last_valid_time == 0.9
 
 
-def test_solution_rejects_nonpositive_rho():
-    grid = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ErmakovBlowupError):
-        ErmakovSolution(grid=grid, rho=np.array([1.0, 0.5, -0.1, 0.4, 1.0]),
-                        rho_dot=np.zeros(5))
-
-
 # ---------------------------------------------------------------------------
 # the invariant along oscillator trajectories
 # ---------------------------------------------------------------------------
@@ -102,7 +93,7 @@ def test_invariant_constant_for_damped_motion():
     cfg = ErmakovConfig(constant_registry(2.0, 0.15), (0.0, 10.0),
                         m=1.0, nu=2.0)
     traj = co_integrate(cfg, INIT, TIGHT, points=401)
-    values = lewis_invariant(traj, solution_from_trajectory(traj), cfg)
+    values = lewis_invariant(traj, cfg)
     report = invariant_drift_report(values, traj.grid)
     assert report.max_drift < 1e-8
     assert 0.0 <= report.at_time <= 10.0
@@ -114,7 +105,7 @@ def test_equilibrium_identity():
     cfg = ErmakovConfig(constant_registry(omega), (0.0, 10.0), m=m, nu=nu,
                         rho0=math.sqrt(nu / (m * omega)))
     traj = co_integrate(cfg, INIT, TIGHT, points=201)
-    values = lewis_invariant(traj, solution_from_trajectory(traj), cfg)
+    values = lewis_invariant(traj, cfg)
     energy = (
         (INIT["p1"] ** 2 + INIT["p2"] ** 2) / (2 * m)
         + 0.5 * m * omega ** 2 * (INIT["x1"] ** 2 + INIT["x2"] ** 2)
@@ -131,19 +122,21 @@ def test_invariant_conserved_for_drifting_frequency():
     )
     cfg = ErmakovConfig(registry, (0.0, 5.0), m=1.0, nu=2.0)
     traj = co_integrate(cfg, INIT, TIGHT, points=201)
-    sol = solution_from_trajectory(traj)
-    values = lewis_invariant(traj, sol, cfg)
+    values = lewis_invariant(traj, cfg)
     assert invariant_drift_report(values, traj.grid).max_drift < 1e-8
     # sanity: the motion itself is not trivially steady
     assert float(np.ptp(traj.series["x1"])) > 0.1
 
 
-def test_invariant_needs_the_trajectory_grid():
+def test_invariant_needs_the_oscillator_series():
     cfg = ErmakovConfig(constant_registry(2.0), (0.0, 2.0), m=1.0, nu=2.0)
-    traj = co_integrate(cfg, INIT, TIGHT, points=41)
     sol = solve_ermakov(cfg, TIGHT, points=21)
-    with pytest.raises(InvariantError, match="trajectory's grid"):
-        lewis_invariant(traj, sol, cfg)
+    with pytest.raises(InvariantError,
+                       match="the trajectory has no series x1, x2, p1, p2"):
+        lewis_invariant(sol, cfg)
+    with pytest.raises(InvariantError,
+                       match="the trajectory has no series rho, rho_dot"):
+        ermakov_residuals(Trajectory(sol.grid, {}), cfg)
 
 
 def test_drift_report_matches_manual_computation():
@@ -152,16 +145,3 @@ def test_drift_report_matches_manual_computation():
     report = invariant_drift_report(values, grid)
     assert report.max_drift == pytest.approx(2e-7, rel=1e-6)
     assert report.at_time == pytest.approx(1.0)
-
-
-def test_export_csv_layout(tmp_path):
-    cfg = ErmakovConfig(constant_registry(2.0, 0.15), (0.0, 2.0),
-                        m=1.0, nu=2.0)
-    traj = co_integrate(cfg, INIT, TIGHT, points=41)
-    sol = solution_from_trajectory(traj)
-    values = lewis_invariant(traj, sol, cfg)
-    path = tmp_path / "invariant.csv"
-    export_invariant_csv(path, sol, values)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,rho,rho_dot,I"
-    assert len(lines) == 42
