@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -149,12 +150,21 @@ class Scenario:
     points: int
 
 
+# libyaml's loader where it is built in; both build the same objects
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path: Path) -> Mapping:
     if not path.exists():
         raise ConfigError(f"{path}: no such file")
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            try:
+                data = yaml.load(fh, Loader=_LOADER)
+            except (yaml.YAMLError, UnicodeDecodeError):
+                # the pure-Python loader words the one-line reasons below
+                fh.seek(0)
+                data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror}")
     except UnicodeDecodeError as exc:
@@ -743,6 +753,7 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="phasekit",

@@ -3,10 +3,10 @@
 Right-hand sides arrive as symbolic equations of motion and are lowered to
 plain Python callables once per run by ``expr.lower``.  Two steppers are
 provided: adaptive Dormand-Prince RK45 (default) and fixed-step RK4 for
-reproducibility tables.  One step of each is Python source generated from
-its tableau for the state's dimension, with every component a float local;
-``integrate`` builds the output table once, and both land exactly on the
-requested output grid, with no dense-output interpolation.
+reproducibility tables.  The whole rk45 integrator (step, error norm, step
+control) and one RK4 step are generated from the tableaux per dimension, each
+component a float local; ``integrate`` builds the output table once, and both
+land exactly on the requested grid, with no dense-output interpolation.
 """
 
 from __future__ import annotations
@@ -104,11 +104,9 @@ class Trajectory:
 def write_csv(traj: Trajectory, path) -> None:
     """Plain CSV, 17 significant digits, deterministic byte-for-byte."""
     names = list(traj.series)
+    columns = [traj.grid.tolist()] + [traj.series[n].tolist() for n in names]
     lines = [",".join([traj.param_name] + names)]
-    for i in range(traj.grid.size):
-        row = [f"{traj.grid[i]:.17g}"]
-        row += [f"{traj.series[n][i]:.17g}" for n in names]
-        lines.append(",".join(row))
+    lines += [",".join([f"{v:.17g}" for v in row]) for row in zip(*columns)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -159,12 +157,70 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
          22 / 525, -1 / 40)
 
 
+# The rk45 integrator that _steppers completes per dimension.  A step, capped
+# by max_step and the next output point, is accepted when its RMS error in
+# tolerance units is at most h (so global drift stays near tol x span); h then
+# scales by 0.9·(h/err)^(1/4), clamped to [0.2, 5].  Comparisons replace
+# abs/min/max and, like them, keep the first argument on ties and NaN.
+_RK45 = """\
+def rk45(rhs, y, grid, policy, observer):
+    abs_tol, rel_tol, max_step = policy.abs_tol, policy.rel_tol, policy.max_step
+    ts = grid.tolist()
+    t = ts[0]
+    states = [y]
+    if observer is not None:
+        observer(t, y)
+    try:
+        %(k0)s = rhs(t, y)
+    except (ZeroDivisionError, OverflowError):
+        raise NonFiniteStateError(f"right-hand side undefined at t={t}")
+    %(y)s = y
+    h = min(max_step, (ts[-1] - ts[0]) / 100.0)
+    accepted = rejected = 0
+    h_min, h_max, worst = math.inf, 0.0, 0.0
+    for target in ts[1:]:
+        a = -target if target < 0.0 else target
+        end = target - 1e-14 * (a if a > 1.0 else 1.0)
+        while t < end:
+            h = max_step if max_step < h else h
+            h = target - t if target - t < h else h
+            a = -t if t < 0.0 else t
+            if h < 1e-14 * (a if a > 1.0 else 1.0):
+                raise StepSizeUnderflowError(f"step size underflow at t={t}")
+            try:
+                %(stages)s
+            except (ZeroDivisionError, OverflowError):
+                raise NonFiniteStateError(f"right-hand side undefined near t={t}")
+            if not (%(finite)s):
+                raise NonFiniteStateError(f"state became non-finite near t={t}")
+            if err <= h:
+                accepted += 1
+                h_min = h if h < h_min else h_min
+                h_max = h if h > h_max else h_max
+                worst = err / h if err / h > worst else worst
+                t += h
+                y = z
+                %(accept)s
+                f = 5.0 if err == 0.0 else 0.9 * (h / err) ** 0.25
+                h *= (f if f < 5.0 else 5.0) if f > 0.2 else 0.2
+            else:
+                rejected += 1
+                f = 0.9 * (h / err) ** 0.25
+                h *= f if f > 0.2 else 0.2
+        t = target
+        states.append(y)
+        if observer is not None:
+            observer(t, y)
+    return states, accepted, rejected, h_min, h_max, worst
+"""
+
+
 @functools.lru_cache(maxsize=None)
 def _steppers(d: int):
-    """``(dp, rk4)`` steps for dimension d, written out from the tableaux
-    with a local per component; sums run left to right from 0.0, zero terms
-    included, which fixes their rounding.  ``dp`` returns the 5th-order
-    state, its RMS error in tolerance units and the slope there (FSAL)."""
+    """``(rk45, rk4)`` for dimension d, written out from the tableaux with a
+    float local per component; sums run left to right from 0.0, zero terms
+    included, which fixes their rounding.  ``rk45`` is the whole adaptive
+    loop of ``_integrate_rk45``, ``rk4`` one fixed step."""
     def row(fmt):
         return "(" + "".join(fmt.format(j) + ", " for j in range(d)) + ")"
 
@@ -172,78 +228,40 @@ def _steppers(d: int):
         return "(0.0" + "".join(f" + {a!r} * k{i}_{{0}}"
                                 for i, a in enumerate(coeffs)) + ")"
 
-    dp = ["def dp(rhs, t, y, h, k0, abs_tol, rel_tol):",
-          f"{row('y{0}')} = y", f"{row('k0_{0}')} = k0"]
+    stages = []
     for i, (c, a) in enumerate(zip(_DP_C[1:], _DP_A[1:]), 1):
-        dp += [f"z = {row('y{0} + h * ' + sum_of(a))}",
-               f"k{i} = rhs(t + {c!r} * h, z)", f"{row(f'k{i}_{{0}}')} = k{i}"]
-    dp += [f"q{j} = h * {sum_of(_DP_E).format(j)} / "
-           f"(abs_tol + rel_tol * max(abs(y{j}), abs(z[{j}])))"
-           for j in range(d)]
+        stages += [f"z{j} = y{j} + h * {sum_of(a).format(j)}"
+                   for j in range(d)]
+        stages += [f"z = {row('z{0}')}",
+                   f"{row(f'k{i}_{{0}}')} = rhs(t + {c!r} * h, z)"]
+    for j in range(d):
+        stages += [f"a = -y{j} if y{j} < 0.0 else y{j}",
+                   f"b = -z{j} if z{j} < 0.0 else z{j}",
+                   f"q{j} = h * {sum_of(_DP_E).format(j)} / "
+                   f"(abs_tol + rel_tol * (b if b > a else a))"]
     squares = "".join(f" + q{j} * q{j}" for j in range(d))
-    dp.append(f"return z, _sqrt((0.0{squares}) / {d}), k6")
+    stages.append(f"err = math.sqrt((0.0{squares}) / {d})")
+    rk45 = _RK45 % {
+        "y": row("y{0}"), "k0": row("k0_{0}"),
+        "stages": "\n                ".join(stages),
+        "finite": " and ".join(f"z{j} - z{j} == 0.0" for j in range(d)),
+        "accept": "\n                ".join(f"y{j}, k0_{j} = z{j}, k6_{j}"
+                                            for j in range(d)),
+    }
     rk4 = ["def rk4(rhs, t, y, h):", f"{row('y{0}')} = y",
            "h2, h6 = h / 2, h / 6", f"{row('a{0}')} = rhs(t, y)",
            f"{row('b{0}')} = rhs(t + h2, {row('y{0} + h2 * a{0}')})",
            f"{row('c{0}')} = rhs(t + h2, {row('y{0} + h2 * b{0}')})",
            f"{row('e{0}')} = rhs(t + h, {row('y{0} + h * c{0}')})",
            f"return {row('y{0} + h6 * (a{0} + 2 * b{0} + 2 * c{0} + e{0})')}"]
-    scope = {"_sqrt": math.sqrt}
-    exec("\n".join("\n    ".join(f) for f in (dp, rk4)), scope)
-    return scope["dp"], scope["rk4"]
+    scope = {}
+    exec(rk45 + "\n    ".join(rk4), globals(), scope)
+    return scope["rk45"], scope["rk4"]
 
 
 def _integrate_rk45(rhs, y0, grid, policy, observer=None):
-    dp = _steppers(len(y0))[0]
-    states = [y0]
-    t = float(grid[0])
-    y = y0
-    if observer is not None:
-        observer(t, y)
-    try:
-        k1 = rhs(t, y)
-    except (ZeroDivisionError, OverflowError):
-        raise NonFiniteStateError(f"right-hand side undefined at t={t}")
-    span = float(grid[-1] - grid[0])
-    h = min(policy.max_step, span / 100.0)
-    accepted = rejected = 0
-    h_min, h_max, worst = math.inf, 0.0, 0.0
-    for target in grid[1:]:
-        target = float(target)
-        while t < target - 1e-14 * max(1.0, abs(target)):
-            h = min(h, policy.max_step, target - t)
-            if h < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflowError(
-                    f"step size underflow at t={t}"
-                )
-            try:
-                y_new, err_norm, k_last = dp(rhs, t, y, h, k1, policy.abs_tol,
-                                             policy.rel_tol)
-            except (ZeroDivisionError, OverflowError):
-                raise NonFiniteStateError(
-                    f"right-hand side undefined near t={t}"
-                )
-            if not all(map(math.isfinite, y_new)):
-                raise NonFiniteStateError(f"state became non-finite near t={t}")
-            # error per unit step: global drift stays near tol x span
-            if err_norm <= h:
-                accepted += 1
-                h_min, h_max = min(h_min, h), max(h_max, h)
-                worst = max(worst, err_norm / h)
-                t += h
-                y = y_new
-                k1 = k_last
-                factor = 5.0 if err_norm == 0.0 else min(
-                    5.0, max(0.2, 0.9 * (h / err_norm) ** 0.25)
-                )
-            else:
-                rejected += 1
-                factor = max(0.2, 0.9 * (h / err_norm) ** 0.25)
-            h *= factor
-        t = target
-        states.append(y)
-        if observer is not None:
-            observer(t, y)
+    states, accepted, rejected, h_min, h_max, worst = _steppers(len(y0))[0](
+        rhs, y0, grid, policy, observer)
     stats = {
         "steps": float(accepted),
         "rejected": float(rejected),

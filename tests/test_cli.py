@@ -816,6 +816,54 @@ def test_transform_overrides_end_in_an_exit_code(tmp_path_factory,
 
 
 # ---------------------------------------------------------------------------
+# libyaml reads every config as the pure-Python loader does
+# ---------------------------------------------------------------------------
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML is built without libyaml")
+
+
+def assert_loaders_agree(text):
+    # repr tells 1 from 1.0 and True, and shows nan, where == does not
+    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == \
+        repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+@needs_libyaml
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
+                         ids=lambda path: path.name)
+def test_c_loader_reads_the_shipped_configs_alike(path):
+    assert_loaders_agree(path.read_text())
+
+
+def sections_over(base, **strategies):
+    return st.fixed_dictionaries(strategies).map(
+        lambda sections: yaml.safe_dump({**base, **sections}))
+
+
+# the configs of the property tests above, written as write_config does
+generated_configs = st.one_of(
+    sections_over(
+        short_oscillator(t_end=0.5, points=3, method="rk45", max_step=0.1),
+        profiles=st.fixed_dictionaries({"omega": profile_sections,
+                                        "eta_fric": profile_sections})),
+    sections_over(short_oscillator(t_end=0.5, points=5),
+                  integrator=integrator_sections, gauge=gauge_sections),
+    sections_over(short_oscillator(t_end=0.5), initial=initial_sections,
+                  ermakov=ermakov_sections, run=run_sections),
+    sections_over(yaml.safe_load((CONFIGS / "transform.yaml").read_text()),
+                  override=override_sections),
+)
+
+
+@needs_libyaml
+@settings(max_examples=100)
+@given(text=generated_configs)
+def test_c_loader_reads_generated_configs_alike(text):
+    assert_loaders_agree(text)
+
+
+# ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasekit import (
     AtomRegistry,
@@ -36,7 +38,7 @@ from phasekit import (
     sym,
     write_csv,
 )
-from phasekit import cli
+from phasekit import cli, dynamics
 from phasekit.dynamics import _DP_A, _DP_C, _DP_E, _steppers, compile_rhs
 from phasekit.invariants import ermakov_equations
 
@@ -199,26 +201,171 @@ def _rk4_step(rhs, t, y, h):
                             for p, q, r, s in zip(k1, k2, k3, k4)])
 
 
+def _reference_rk45(rhs, y0, grid, policy, observer=None):
+    """The Python loop that the generated rk45 integrator replaced, on the
+    reference step ``_dp_step``."""
+    states = [y0]
+    t = float(grid[0])
+    y = y0
+    if observer is not None:
+        observer(t, y)
+    try:
+        k1 = rhs(t, y)
+    except (ZeroDivisionError, OverflowError):
+        raise NonFiniteStateError(f"right-hand side undefined at t={t}")
+    span = float(grid[-1] - grid[0])
+    h = min(policy.max_step, span / 100.0)
+    accepted = rejected = 0
+    h_min, h_max, worst = math.inf, 0.0, 0.0
+    for target in grid[1:]:
+        target = float(target)
+        while t < target - 1e-14 * max(1.0, abs(target)):
+            h = min(h, policy.max_step, target - t)
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise StepSizeUnderflowError(
+                    f"step size underflow at t={t}"
+                )
+            try:
+                y_new, err_norm, k_last = _dp_step(rhs, t, y, h, k1,
+                                                   policy.abs_tol,
+                                                   policy.rel_tol)
+            except (ZeroDivisionError, OverflowError):
+                raise NonFiniteStateError(
+                    f"right-hand side undefined near t={t}"
+                )
+            if not all(map(math.isfinite, y_new)):
+                raise NonFiniteStateError(f"state became non-finite near t={t}")
+            if err_norm <= h:
+                accepted += 1
+                h_min, h_max = min(h_min, h), max(h_max, h)
+                worst = max(worst, err_norm / h)
+                t += h
+                y = y_new
+                k1 = k_last
+                factor = 5.0 if err_norm == 0.0 else min(
+                    5.0, max(0.2, 0.9 * (h / err_norm) ** 0.25)
+                )
+            else:
+                rejected += 1
+                factor = max(0.2, 0.9 * (h / err_norm) ** 0.25)
+            h *= factor
+        t = target
+        states.append(y)
+        if observer is not None:
+            observer(t, y)
+    stats = {
+        "steps": float(accepted),
+        "rejected": float(rejected),
+        "nfev": float(1 + 6 * (accepted + rejected)),
+        "min_step": h_min if accepted else 0.0,
+        "max_step": h_max,
+        "max_error_per_unit_step": worst,
+    }
+    return states, stats
+
+
+def _both_loops(rhs, y0, grid, policy):
+    """(states, stats, observed points) or (error class, message) of the
+    reference loop and of the generated integrator, in that order."""
+    outcomes = []
+    for integrate_rk45 in (_reference_rk45, dynamics._integrate_rk45):
+        seen = []
+        try:
+            states, stats = integrate_rk45(
+                rhs, y0, grid, policy, lambda t, y: seen.append((t, y)))
+            outcomes.append((states, stats, seen))
+        except DynamicsError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _linear_rhs(a, b):
+    def rhs(t, y):
+        return tuple(sum(aij * yj for aij, yj in zip(row, y)) + bi * t
+                     for row, bi in zip(a, b))
+    return rhs
+
+
 @pytest.mark.parametrize("d", range(1, 8))
 def test_generated_steps_equal_the_reference_loops(d):
     rng = random.Random(20261018 + d)
     a = [[rng.uniform(-3.0, 3.0) for _ in range(d)] for _ in range(d)]
     b = [rng.uniform(-1.0, 1.0) for _ in range(d)]
-
-    def rhs(t, y):
-        return tuple(sum(aij * yj for aij, yj in zip(row, y)) + bi * t
-                     for row, bi in zip(a, b))
-
-    dp, rk4 = _steppers(d)
+    rhs = _linear_rhs(a, b)
+    rk4 = _steppers(d)[1]
     for _ in range(50):
         y = tuple(rng.uniform(-2.0, 2.0) for _ in range(d))
-        k1 = tuple(rng.uniform(-2.0, 2.0) for _ in range(d))
         t, h = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-4.0, -0.5)
-        tols = (10.0 ** rng.uniform(-12.0, -3.0),
-                10.0 ** rng.uniform(-12.0, -3.0))
-        assert dp(rhs, t, y, h, k1, *tols) == _dp_step(rhs, t, y, h, k1,
-                                                       *tols)
         assert rk4(rhs, t, y, h) == _rk4_step(rhs, t, y, h)
+    rejected = 0.0
+    for _ in range(4):
+        y0 = tuple(rng.uniform(-2.0, 2.0) for _ in range(d))
+        start = rng.uniform(-3.0, -0.5)
+        grid = np.linspace(start, start + rng.uniform(1.0, 3.0),
+                           rng.randint(2, 12))
+        # tolerances tight enough that some steps are rejected
+        policy = IntegratorPolicy(abs_tol=10.0 ** rng.uniform(-13.0, -10.0),
+                                  rel_tol=10.0 ** rng.uniform(-13.0, -10.0),
+                                  max_step=rng.uniform(0.05, 1.0))
+        reference, generated = _both_loops(rhs, y0, grid, policy)
+        assert generated == reference
+        rejected += generated[1]["rejected"]
+    assert rejected > 0
+
+
+@settings(max_examples=30)
+@given(d=st.integers(1, 5), seed=st.integers(0, 2 ** 32),
+       start=st.floats(-4.0, 1.0), length=st.floats(0.1, 3.0),
+       points=st.integers(2, 9), tols=st.tuples(st.floats(-13.0, -4.0),
+                                                 st.floats(-13.0, -4.0)),
+       max_step=st.floats(0.01, 2.0))
+def test_generated_rk45_equals_the_reference_loop(d, seed, start, length,
+                                                    points, tols, max_step):
+    rng = random.Random(seed)
+    rhs = _linear_rhs(
+        [[rng.uniform(-4.0, 4.0) for _ in range(d)] for _ in range(d)],
+        [rng.uniform(-1.0, 1.0) for _ in range(d)])
+    y0 = tuple(rng.uniform(-2.0, 2.0) for _ in range(d))
+    policy = IntegratorPolicy(abs_tol=10.0 ** tols[0],
+                              rel_tol=10.0 ** tols[1], max_step=max_step)
+    grid = np.linspace(start, start + length, points)
+    reference, generated = _both_loops(rhs, y0, grid, policy)
+    assert generated == reference
+
+
+def _pole_past(t_pole):
+    def rhs(t, y):
+        return tuple(yj / (0.0 if t > t_pole else 1.0) for yj in y)
+    return rhs
+
+
+def _inf_past(t_inf):
+    def rhs(t, y):
+        return tuple(math.inf if t > t_inf else -yj for yj in y)
+    return rhs
+
+
+def _square(t, y):
+    return tuple(yj * yj for yj in y)
+
+
+@pytest.mark.parametrize("rhs, y0, span, error, message", [
+    (_pole_past(-2.0), (1.0, 2.0), (-1.0, 1.0), NonFiniteStateError,
+     "right-hand side undefined at t=-1.0"),
+    (_pole_past(0.37), (1.0, 2.0), (-1.0, 1.0), NonFiniteStateError,
+     "right-hand side undefined near t="),
+    (_inf_past(0.37), (1.0, 2.0, 3.0), (-1.0, 1.0), NonFiniteStateError,
+     "state became non-finite near t="),
+    (_square, (1.0,), (0.0, 2.0), StepSizeUnderflowError,
+     "step size underflow at t="),
+], ids=["pole-at-start", "pole", "inf", "step-collapse"])
+def test_generated_rk45_fails_as_the_reference_loop(rhs, y0, span, error,
+                                                      message):
+    policy = IntegratorPolicy(abs_tol=1e-8, rel_tol=1e-8)
+    reference, generated = _both_loops(rhs, y0, np.linspace(*span, 5),
+                                         policy)
+    assert generated == reference
+    assert generated[0] is error and generated[1].startswith(message)
 
 
 # ---------------------------------------------------------------------------
