@@ -485,7 +485,7 @@ def run_simulate(scenario: Scenario, out_dir: Path,
     params = {"m": scenario.m}
     points = scenario.points
 
-    h_expr, eom = original_equations(registry)
+    h_expr, eom = original_equations()
     tau_grid = np.linspace(tau1, tau2, points)
     t_grid = np.array([gauge.time_of(float(v)) for v in tau_grid])
     orig = integrate(eom, scenario.initial, t_grid, scenario.policy,

@@ -9,6 +9,7 @@ constraint surface.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,6 +85,12 @@ class LagrangianModel:
     @property
     def chart(self) -> Chart:
         return Chart(tuple(zip(self.coordinates, self.momenta)))
+
+    @functools.cached_property
+    def velocity_gradient(self) -> Tuple[PhaseExpr, ...]:
+        """∂L/∂v_i, taken once for both ``hessian`` and ``legendre``."""
+        return tuple(diff(self.lagrangian, v, self.registry)
+                     for v in self.velocities)
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,7 @@ class ConstraintSet:
 def hessian(model: LagrangianModel) -> Hessian:
     """Velocity Hessian of the Lagrangian and its exact determinant."""
     n = len(model.velocities)
-    first = [diff(model.lagrangian, v, model.registry) for v in model.velocities]
+    first = model.velocity_gradient
     matrix = [
         [diff(first[i], model.velocities[j], model.registry) for j in range(n)]
         for i in range(n)
@@ -236,10 +243,7 @@ def legendre(model: LagrangianModel) -> LegendreResult:
     unresolved momentum carries coefficient one.  Velocities that no
     equation determines stay in H as undetermined multipliers.
     """
-    defs = {
-        p: diff(model.lagrangian, v, model.registry)
-        for p, v in zip(model.momenta, model.velocities)
-    }
+    defs = dict(zip(model.momenta, model.velocity_gradient))
     equations = {
         p: simplify(sym(p) - defs[p]) for p in model.momenta
     }

@@ -356,36 +356,38 @@ def integrate(eom: Mapping[str, PhaseExpr], init: Mapping[str, float],
 # the gauge-fixed extended system
 # --------------------------------------------------------------------------
 
-_EXTENDED_CACHE: Dict[str, object] = {}
-
-
-def original_equations(registry: AtomRegistry
-                       ) -> Tuple[PhaseExpr, Dict[str, PhaseExpr]]:
-    """H and Hamilton's equations (x1, x2, p1, p2) of the original
-    oscillator, with m symbolic; derived afresh for each registry."""
-    model = _constraints.original_oscillator(registry=registry)
-    h = _constraints.legendre(model).hamiltonian
+@functools.lru_cache(maxsize=None)
+def _original() -> Tuple[PhaseExpr, Dict[str, PhaseExpr]]:
+    # profiles enter at lowering: only atom names and f' = -eta_fric·f count.
     # "t" enters H through the coefficient profiles; the integrator binds it.
-    eom = _brackets.hamilton_eom(h, model.chart, registry=registry,
-                                 params={"m", "t"})
-    return h, eom
+    model = _constraints.original_oscillator()
+    h = _constraints.legendre(model).hamiltonian
+    return h, _brackets.hamilton_eom(h, model.chart, registry=model.registry,
+                                     params={"m", "t"})
+
+
+@functools.lru_cache(maxsize=None)
+def _extended() -> Tuple[PhaseExpr, Dict[str, PhaseExpr]]:
+    model = _constraints.extended_oscillator()
+    phi = _constraints.legendre(model).primaries[0]
+    return phi, _brackets.hamilton_eom(simplify(sym("lam") * phi),
+                                       model.chart)
+
+
+def original_equations() -> Tuple[PhaseExpr, Dict[str, PhaseExpr]]:
+    """H and Hamilton's equations (x1, x2, p1, p2) of the original
+    oscillator, with m symbolic; derived once, a fresh dict per call."""
+    h, eom = _original()
+    return h, dict(eom)
 
 
 def extended_equations() -> Dict[str, PhaseExpr]:
     """Equations of motion for H_T = lam·φ, with lam and m symbolic."""
-    if "eom" not in _EXTENDED_CACHE:
-        model = _constraints.extended_oscillator()
-        lt = _constraints.legendre(model)
-        phi = lt.primaries[0]
-        h_total = simplify(sym("lam") * phi)
-        _EXTENDED_CACHE["eom"] = _brackets.hamilton_eom(h_total, model.chart)
-        _EXTENDED_CACHE["phi"] = phi
-    return dict(_EXTENDED_CACHE["eom"])
+    return dict(_extended()[1])
 
 
 def extended_constraint() -> PhaseExpr:
-    extended_equations()
-    return _EXTENDED_CACHE["phi"]
+    return _extended()[0]
 
 
 def integrate_extended(gauge: GaugeSpec, init: Mapping[str, float],

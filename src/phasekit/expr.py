@@ -566,6 +566,10 @@ class AtomRegistry:
 # numeric evaluation: every expression is lowered to Python code once
 # --------------------------------------------------------------------------
 
+# the characters of a code string made of float literals and operators alone
+_LITERAL = frozenset("0123456789.e+-*/() ")
+
+
 def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
           registry: Optional[AtomRegistry] = None,
           params: Optional[Mapping[str, float]] = None,
@@ -579,12 +583,16 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
     binds nothing).  Any other atom is evaluated once per call of ``f`` for
     each distinct atom: an ``ExprProfile`` is written into the code, its
     factor g_k with ``t`` bound to the atom's argument, times ``exp`` of its
-    exponent when that is not zero; any other profile is called.  Every
-    operation gets its own assignment, so deep trees never meet the
-    parser's nesting limit.  The arithmetic is plain Python: a pole raises
-    ``ZeroDivisionError`` and an overflowing power or ``exp``
-    ``OverflowError``; a constant or parameter that is not a finite float
-    raises ``NonFiniteError`` here.
+    exponent when that is not zero, the exp under a name of its own; any
+    other profile is called.  Every operation gets its own assignment, so
+    deep trees never meet the parser's nesting limit, and equal code gets
+    one name (each name is assigned once, so equal code is an equal float).
+    Code of literals alone is written as its value if that is a finite
+    float, and stays to fail at run time if not; nothing else is folded (a
+    product by a literal zero stays: dropping it can flip a zero's sign).
+    The arithmetic is plain Python: a pole raises ``ZeroDivisionError`` and
+    an overflowing power or ``exp`` ``OverflowError``; a constant or
+    parameter that is not a finite float raises ``NonFiniteError`` here.
 
     With input names in ``wrt``, ``f`` also returns the partials ∂e_i/∂w_j
     after the values, row by row, from forward differentiation of the same
@@ -598,6 +606,7 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
     glb: Dict[str, object] = {"_exp": math.exp}
     lines: List[str] = []
     atom_calls: Dict[Atom, str] = {}
+    numbered: Dict[str, str] = {}
 
     def constant(value) -> str:
         try:
@@ -621,9 +630,18 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
         raise UnboundVariableError(f"variable '{name}' is not bound")
 
     def assign(code: str) -> str:
-        target = f"_{len(lines)}"
-        lines.append(f"    {target} = {code}\n")
-        return target
+        # one name per distinct code; literals alone become their value
+        if code not in numbered:
+            try:
+                value = eval(code, {}) if _LITERAL.issuperset(code) else None
+            except ArithmeticError:
+                value = None
+            if isinstance(value, float) and math.isfinite(value):
+                numbered[code] = f"({value!r})"
+            else:
+                numbered[code] = f"_{len(lines)}"
+                lines.append(f"    {numbered[code]} = {code}\n")
+        return numbered[code]
 
     def tangents(terms: Dict[int, List[str]]) -> Dict[int, str]:
         # one sum per input; a lone name needs no assignment of its own
@@ -642,7 +660,8 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
             g = emit(p.factor(e.order), e.arg)[0]
             if is_zero_expr(p.exponent):
                 return g
-            return assign(f"{g} * _exp({emit(p.exponent, e.arg)[0]})")
+            exp = assign(f"_exp({emit(p.exponent, e.arg)[0]})")
+            return assign(f"{g} * {exp}")
         fn = f"_profile_{len(glb)}"
         glb[fn] = p.value
         return assign(f"{fn}({e.order}, {symbol(e.arg)})")

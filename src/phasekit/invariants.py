@@ -150,7 +150,7 @@ def co_integrate(cfg: ErmakovConfig, oscillator_init: Mapping[str, float],
     Sharing a single integration keeps the invariant-conservation check
     free of interpolation error.
     """
-    _, eom = original_equations(cfg.registry)
+    _, eom = original_equations()
     eom.update(ermakov_equations(cfg))
     return _integrate_guarded(cfg, eom, oscillator_init, policy, points)
 

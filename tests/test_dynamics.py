@@ -1,8 +1,12 @@
 """Integration of symbolic equations of motion and the extended system."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from phasekit import (
     write_csv,
 )
 from phasekit import cli, dynamics
+from phasekit import expr as expr_module
 from phasekit.dynamics import _DP_A, _DP_C, _DP_E, _steppers, compile_rhs
 from phasekit.invariants import ermakov_equations
 
@@ -55,7 +60,7 @@ TIGHT = IntegratorPolicy(method="rk45", abs_tol=1e-12, rel_tol=1e-12,
 
 def test_hamilton_eom_golden():
     registry = constant_registry(omega=2.0, eta=0.1)
-    _, eom = original_equations(registry)
+    _, eom = original_equations()
     ext = ["x1", "p1", "x2", "p2", "t", "m"]
     # the order fixes the CSV columns of every oscillator run
     assert list(eom) == ["x1", "x2", "p1", "p2"]
@@ -75,6 +80,50 @@ def test_extended_equations_structure():
     assert equivalent(eom["p_tau"], expected)
 
 
+def test_equations_are_derived_once_and_returned_fresh():
+    h, eom = original_equations()
+    eom["x1"] = num(0)
+    assert original_equations()[1]["x1"] != num(0)
+    assert original_equations()[0] is h
+    ext = extended_equations()
+    ext.clear()
+    assert extended_equations()
+
+
+def test_equations_are_derived_on_first_use_not_at_import():
+    probe = ("import phasekit.cli\nfrom phasekit import dynamics\n"
+             "print(dynamics._original.cache_info().currsize,"
+             " dynamics._extended.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(dynamics.__file__).resolve().parents[1]),
+        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0", "0"], proc.stderr
+
+
+def test_extended_rhs_calls_exp_once_and_writes_each_value_once(monkeypatch):
+    # constant profiles: f = exp(-eta·t_tau) and f' = -eta·f share one exp;
+    # counts, unlike wall time, do not move with the host
+    sources = []
+
+    def spy(source, glb):
+        sources.append(source)
+        exec(source, glb)
+
+    monkeypatch.setattr(expr_module, "exec", spy, raising=False)
+    eom = extended_equations()
+    rhs = compile_rhs(eom, list(eom), constant_registry(0.5852, 0.2881),
+                      {"m": 1.0, "lam": 10.0}, time_var="tau")
+    calls = []
+    rhs.__globals__["_exp"] = lambda x: calls.append(x) or math.exp(x)
+    values = rhs(0.25, [1.0, -0.5, 0.3, 0.2, 0.75, -1.5])
+    assert len(calls) == 1 and all(map(math.isfinite, values))
+    codes = [line.split(" = ", 1)[1] for line in
+             sources[-1].splitlines()[1:-1]]
+    assert len(codes) == len(set(codes))
+
+
 # ---------------------------------------------------------------------------
 # adaptive integration against the closed form
 # ---------------------------------------------------------------------------
@@ -82,7 +131,7 @@ def test_extended_equations_structure():
 def test_rk45_matches_damped_closed_form():
     omega, eta, m = 2.0, 0.25, 1.0
     registry = constant_registry(omega, eta)
-    _, eom = original_equations(registry)
+    _, eom = original_equations()
     init = {"x1": 1.0, "p1": 0.0, "x2": 0.0, "p2": 1.0}
     grid = np.linspace(0.0, 10.0, 201)
     traj = integrate(eom, init, grid, TIGHT, registry, {"m": m})
@@ -93,7 +142,7 @@ def test_rk45_matches_damped_closed_form():
 
 def test_rk45_reports_step_statistics():
     registry = constant_registry(1.0, 0.0)
-    _, eom = original_equations(registry)
+    _, eom = original_equations()
     traj = integrate(eom, {"x1": 1.0, "p1": 0.0, "x2": 0.0, "p2": 0.0},
                      (0.0, 5.0), TIGHT, registry, {"m": 1.0}, points=51)
     stats = traj.stats
@@ -106,7 +155,7 @@ def test_rk45_reports_step_statistics():
 
 def test_rk4_fixed_grid_is_deterministic(tmp_path):
     registry = constant_registry(2.0, 0.1)
-    _, eom = original_equations(registry)
+    _, eom = original_equations()
     policy = IntegratorPolicy(method="rk4", max_step=0.01)
     init = {"x1": 1.0, "p1": 0.0, "x2": 0.5, "p2": -0.2}
     outs = []
@@ -122,7 +171,7 @@ def test_rk4_fixed_grid_is_deterministic(tmp_path):
 
 def test_rk4_accuracy_scales_with_step():
     registry = constant_registry(2.0, 0.0)
-    _, eom = original_equations(registry)
+    _, eom = original_equations()
     init = {"x1": 1.0, "p1": 0.0, "x2": 0.0, "p2": 0.0}
     x_of, _ = damped_oracle(2.0, 0.0, 1.0, 0.0)
     errs = []
@@ -146,7 +195,7 @@ def test_rk45_agrees_with_scipy_dop853_on_linear_in_t_profiles():
         friction_profile=eta,
         frequency_profile=ExprProfile(parse("2 + 0.1*t", ["t"])),
     )
-    _, eom = original_equations(registry)
+    _, eom = original_equations()
     init = {"x1": 0.8, "x2": -0.5, "p1": -0.2, "p2": 0.6}
     grid = np.linspace(0.0, 10.0, 201)
     traj = integrate(eom, init, grid, TIGHT, registry, {"m": 1.0})
@@ -398,7 +447,7 @@ def test_pole_in_a_closed_form_profile_ends_cleanly():
     # stage over (0.5, 1) lands on the pole at t = 1
     registry = oscillator_registry(ExprProfile(num(0)),
                                    ExprProfile(parse("1/(1-t)", ["t"])))
-    _, eom = original_equations(registry)
+    _, eom = original_equations()
     with pytest.raises(NonFiniteStateError,
                        match="right-hand side undefined"):
         integrate(eom, {"x1": 1.0, "x2": 0.0, "p1": 0.0, "p2": 0.0},
@@ -417,7 +466,7 @@ def test_closed_form_profiles_leave_no_profile_call(omega, eta):
     scenario = cli.scenario_from_config(
         {"profiles": {"omega": omega, "eta_fric": eta}}, "inline")
     registry = cli.build_registry(scenario, scenario.span)
-    _, original = original_equations(registry)
+    _, original = original_equations()
     ermakov = {**original, **ermakov_equations(
         ErmakovConfig(registry, scenario.span, m=1.0, nu=1.0))}
     params = {"m": 1.0, "nu": 1.0, "lam": 1.0}
@@ -431,7 +480,7 @@ def test_closed_form_profiles_leave_no_profile_call(omega, eta):
 
 def test_missing_initial_variable():
     registry = constant_registry()
-    _, eom = original_equations(registry)
+    _, eom = original_equations()
     with pytest.raises(PreconditionError):
         integrate(eom, {"x1": 1.0}, (0.0, 1.0), TIGHT, registry, {"m": 1.0})
 
@@ -468,7 +517,7 @@ def test_trajectory_validates_series():
 def extended_setup(omega=2.0, eta=0.1, m=1.0):
     registry = constant_registry(omega, eta)
     gauge = GaugeSpec((0.0, 1.0, 0.0, 10.0))
-    h, _ = original_equations(registry)
+    h, _ = original_equations()
     init = {"x1": 1.0, "p1": 0.0, "x2": 0.0, "p2": 1.0}
     h0 = eval_expr(h, {**init, "m": m}, time=0.0, registry=registry)
     ext_init = {"x1_tau": init["x1"], "x2_tau": init["x2"],
@@ -481,7 +530,7 @@ def test_extended_run_tracks_the_original(tmp_path):
     registry, gauge, init, ext_init = extended_setup()
     ext = integrate_extended(gauge, ext_init, TIGHT, registry, {"m": 1.0},
                              points=101)
-    _, eom = original_equations(registry)
+    _, eom = original_equations()
     t_grid = np.array([gauge.time_of(v) for v in ext.grid])
     orig = integrate(eom, init, t_grid, TIGHT, registry, {"m": 1.0})
     for a, b in (("x1_tau", "x1"), ("p1_tau", "p1"),

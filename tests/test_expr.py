@@ -554,6 +554,178 @@ def test_lower_tangents_match_lowered_partials(e, point):
         assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
 
+# ---------------------------------------------------------------------------
+# lower against a reference emitter without value numbering or folding
+# ---------------------------------------------------------------------------
+
+def reference_lower(exprs, inputs, registry=None, params=None, time_var="t",
+                    wrt=()):
+    """``lower`` as it was before value numbering: one assignment per
+    operation, no literal folded, an ExprProfile's exp inside its product."""
+    slots = {key: i for i, key in enumerate(inputs)}
+    seeds = {name: {j: "1.0"} for j, name in enumerate(wrt)}
+    params = params or {}
+    glb = {"_exp": math.exp}
+    lines, atom_calls = [], {}
+
+    def constant(value):
+        x = float(value)
+        if not math.isfinite(x):
+            raise NonFiniteError(f"constant {value} is not finite")
+        return f"({x!r})"
+
+    def symbol(name):
+        if name in slots:
+            return f"y[{slots[name]}]"
+        if name in params:
+            return constant(params[name])
+        if name == time_var:
+            return "t"
+        raise UnboundVariableError(f"variable '{name}' is not bound")
+
+    def assign(code):
+        lines.append(f"    _{len(lines)} = {code}\n")
+        return f"_{len(lines) - 1}"
+
+    def tangents(terms):
+        return {j: ts[0] if len(ts) == 1 and " " not in ts[0]
+                else assign(" + ".join(ts)) for j, ts in terms.items()}
+
+    def times(*factors):
+        return " * ".join(f for f in factors if f != "1.0") or "1.0"
+
+    def profile(e):
+        p = registry.profile(e.name)
+        if isinstance(p, ExprProfile):
+            g = emit(p.factor(e.order), e.arg)[0]
+            if is_zero_expr(p.exponent):
+                return g
+            return assign(f"{g} * _exp({emit(p.exponent, e.arg)[0]})")
+        glb[f"_profile_{len(glb)}"] = p.value
+        return assign(f"_profile_{len(glb) - 1}({e.order}, {symbol(e.arg)})")
+
+    def emit(e, arg=None):
+        if isinstance(e, Num):
+            return constant(e.value), {}
+        if isinstance(e, Sym):
+            if arg is None:
+                return symbol(e.name), seeds.get(e.name, {})
+            return symbol(arg), {}
+        if isinstance(e, Atom):
+            if seeds:
+                raise EvalError(f"atom '{e.name}' cannot be differentiated")
+            if e not in atom_calls:
+                atom_calls[e] = profile(e)
+            return atom_calls[e], {}
+        if isinstance(e, (Add, Mul)):
+            add = isinstance(e, Add)
+            parts = [emit(f, arg) for f in (e.terms if add else e.factors)]
+            names = [v for v, _ in parts]
+            terms = {}
+            for k, (_, d) in enumerate(parts):
+                for j, dv in d.items():
+                    terms.setdefault(j, []).append(
+                        dv if add else times(*names[:k], *names[k + 1:], dv))
+            value = assign((" + " if add else " * ").join(names)
+                           or ("0.0" if add else "1.0"))
+            return value, tangents(terms)
+        if isinstance(e, Pow):
+            b, d = emit(e.base, arg)
+            value = assign(f"{b} ** {e.exp}")
+            slope = "1.0" if e.exp == 1 else f"{e.exp} * {b} ** {e.exp - 1}"
+            return value, tangents({j: [times(slope, dv)]
+                                    for j, dv in d.items() if e.exp})
+        (a, da), (b, db) = emit(e.num, arg), emit(e.den, arg)
+        value = assign(f"{a} / {b}")
+        out = {}
+        for j in sorted(da.keys() | db.keys()):
+            minus = f" - {times(value, db[j])}" if j in db else ""
+            out[j] = assign(f"({da.get(j, '')}{minus}) / {b}")
+        return value, out
+
+    results = [emit(e) for e in exprs]
+    outputs = [v for v, _ in results] + [
+        d.get(j, "0.0") for _, d in results for j in range(len(wrt))]
+    source = ("def _lowered(t, y):\n" + "".join(lines)
+              + f"    return ({''.join(r + ', ' for r in outputs)})\n")
+    exec(source, glb)
+    return glb["_lowered"]
+
+
+def _registry_with_every_profile_kind():
+    # exp(-t/2), exp(t²) (which overflows for |t| past 26.6), t·exp(-t/2)
+    # and a profile that is called
+    reg = AtomRegistry()
+    reg.register("f", profile=ExprProfile(num(1), parse("-t/2", ["t"])))
+    reg.register("e", profile=ExprProfile(num(1), parse("t^2", ["t"])))
+    reg.register("g", profile=ExprProfile(sym("t"), parse("-t/2", ["t"])))
+    reg.register("k", profile=Fixed(0.5))
+    return reg
+
+
+EVERY_PROFILE = _registry_with_every_profile_kind()
+OVERFLOWING = Pow(num(1e200), 2)       # (1e+200) ** 2 raises OverflowError
+POLE = Pow(Add((num(1), num(-1))), -1)  # (1.0) + (-1.0), then ** -1
+
+
+@st.composite
+def emitter_exprs(draw, depth=0):
+    # small pools of leaves, so equal code strings come up often
+    if depth >= 4 or draw(st.integers(0, 2)) == 0:
+        leaf = draw(st.sampled_from(["var", "var", "c", "c", "atom", "odd"]))
+        if leaf == "var":
+            return sym(draw(st.sampled_from(["x", "y", "z", "t"])))
+        if leaf == "c":
+            return num(draw(st.sampled_from(
+                [0, 1, -1, Fraction(1, 2), Fraction(-3, 7), 3, 0.5852])))
+        if leaf == "atom":
+            return atom(draw(st.sampled_from("fegk")), "t",
+                        draw(st.integers(0, 2)))
+        return draw(st.sampled_from([OVERFLOWING, POLE]))
+    op = draw(st.sampled_from(["add", "mul", "div", "pow", "twice"]))
+    a = draw(emitter_exprs(depth=depth + 1))
+    if op == "pow":
+        return Pow(a, draw(st.integers(-2, 3)))
+    if op == "twice":
+        return draw(st.sampled_from([Add, Mul]))((a, a))
+    b = draw(emitter_exprs(depth=depth + 1))
+    return {"add": lambda: Add((a, b)), "mul": lambda: Mul((a, b)),
+            "div": lambda: Div(a, b)}[op]()
+
+
+def _outcome(make, *point):
+    """Where it failed and the exception's class, or the values by repr
+    (-0.0 and nan included)."""
+    try:
+        fn = make()
+    except ExprError as exc:
+        return "lower", type(exc)
+    try:
+        return "run", tuple(map(repr, fn(*point)))
+    except ArithmeticError as exc:
+        return "run", type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(emitter_exprs(), min_size=1, max_size=3),
+       st.sampled_from([(), ("x",), ("y", "x"), VARS]),
+       st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0, 30.0]),
+       st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.75, 2.0]),
+                min_size=3, max_size=3))
+@example([OVERFLOWING], (), 0.0, [1.0, 1.0, 1.0])
+@example([Mul((sym("x"), num(0)))], ("x",), 0.0, [-0.5, 1.0, 1.0])   # -0.0
+@example([Mul((sym("x"), POLE))], ("x",), 0.0, [1.0, 1.0, 1.0])
+@example([Div(sym("x"), Add((sym("y"), num(-1))))], VARS, 0.0, [1.0, 1.0, 2.0])
+@example([Add((atom("e", "t"), atom("e", "t", 1)))], (), 30.0, [0.0] * 3)
+def test_lower_equals_the_reference_emitter(exprs, wrt, t, y):
+    # atoms raise at lowering when wrt is not empty, in both
+    args = (exprs, VARS, EVERY_PROFILE, None, "t", wrt)
+    lowered = _outcome(lambda: lower(*args), t, y)
+    assert lowered == _outcome(lambda: reference_lower(*args), t, y)
+    if exprs[0] in (OVERFLOWING, POLE) and lowered[0] == "run":
+        assert lowered[1] in (OverflowError, ZeroDivisionError)
+
+
 def test_free_symbols_sees_atom_arguments():
     reg = constant_registry()
     e = parse("w(t_tau)^2 * x1", ["x1", "t_tau"], reg)

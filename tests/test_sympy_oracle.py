@@ -9,8 +9,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasekit import simplify, subst, sym
+from phasekit import antiderivative, simplify, subst, sym
 from phasekit._poly import Rat, poly_gcd, poly_mul, rat_diff
+from phasekit.brackets import _eliminate
 from phasekit.expr import Add, Div, ExprError, Mul, Num, Pow, Sym, to_rat
 
 sympy = pytest.importorskip("sympy")
@@ -66,7 +67,7 @@ def sympy_tree(e):
     if isinstance(e, Num):
         return sympy.Rational(e.value.numerator, e.value.denominator)
     if isinstance(e, Sym):
-        return SYMBOLS[e.name]
+        return SYMBOLS.get(e.name) or sympy.Symbol(e.name)
     if isinstance(e, Add):
         return sympy.Add(*map(sympy_tree, e.terms))
     if isinstance(e, Mul):
@@ -283,3 +284,57 @@ def test_criterion_1_goldens_match_a_sympy_derivation():
             poisson(a, phis[i]) * c_inv[i, j] * poisson(phis[j], b)
             for i in range(2) for j in range(2))
         assert same(dirac, text), key
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination and antiderivatives
+# ---------------------------------------------------------------------------
+
+small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+@st.composite
+def square_with_block(draw):
+    """An n×n rational matrix, 1 ≤ n ≤ 4, with 1 or 2 columns appended;
+    entries are small so that singular matrices come up too."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    return [[draw(small) for _ in range(n + k)] for _ in range(n)]
+
+
+@settings(max_examples=150)
+@given(square_with_block())
+def test_eliminate_matches_sympy_det_and_inverse(rows):
+    n = len(rows)
+    a = sympy.Matrix(rows)[:, :n]
+    work = [[Rat.const(c) for c in row] for row in rows]
+    det = _eliminate(work)
+    assert det.is_const() and det.const_value() == a.det()
+    if det.is_zero():
+        return
+    # a regular block ends as the identity, the appended columns as A⁻¹B
+    assert all(work[i][j] == Rat.const(int(i == j))
+               for i in range(n) for j in range(n))
+    applied = a.inv() * sympy.Matrix(rows)[:, n:]
+    assert [[c.const_value() for c in row[n:]] for row in work] == \
+        applied.tolist()
+
+
+T = sympy.Symbol("t")
+t_polys = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 2)),
+                          coeffs, min_size=1, max_size=5)
+
+
+@settings(max_examples=100)
+@given(t_polys, polys)
+def test_antiderivative_differentiates_back_to_a_polynomial_in_t(p, den):
+    # Σ c t^i x^j over a denominator free of t
+    e = Div(Add(tuple(Mul((Num(c), Pow(sym("t"), i), Pow(sym("x"), j)))
+                      for (i, j), c in p.items())),
+            Add(tuple(Mul((Num(c), *(Pow(sym(key[1]), k) for key, k in m)))
+                      for m, c in den.items())))
+    integral = antiderivative(e, "t")
+    assert integral is not None
+    expected = sympy_tree(e)
+    got = sympy_tree(integral)
+    assert sympy.cancel(sympy.diff(got, T) - expected) == 0
+    assert sympy.cancel(got.subs(T, 0)) == 0
