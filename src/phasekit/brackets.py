@@ -6,23 +6,27 @@ constraints hold identically, not just to tolerance.  The one bracket is
 {f, g}_M = ∇fᵀ M ∇g over normal-form gradients: the chart's symplectic J
 gives Poisson brackets, and D = J − (J G) C (Gᵀ J), built once per
 ``ConstraintMatrix`` (Henneaux & Teitelboim, *Quantization of Gauge
-Systems*, ch. 1), Dirac brackets; Hamilton's equations are M∇H.  The only
-numeric step is the first/second-class decision for non-constant constraint
-brackets, which samples the constraint surface through expressions lowered
-once by ``expr.lower``, with coefficient atoms bound as independent values.
+Systems*, ch. 1), Dirac brackets; Hamilton's equations are M∇H.  The
+first/second-class split needs "vanishes weakly", zero on the constraint
+surface, and decides it exactly too: the constraints are solved linearly,
+one variable each, into a map that makes the surface a graph over the
+other variables (the regular case of Henneaux & Teitelboim), and an
+expression vanishes weakly when its substitution by that map is zero.
+Parameters such as ``m`` are never solved for, so a verdict holds for all
+of their values; a set with no such linear solve raises ``BracketError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .expr import (
     AtomRegistry,
     Chart,
+    ExprError,
     PhaseExpr,
+    SubstitutionError,
     ZERO,
     atoms_in,
     diff,
@@ -30,8 +34,9 @@ from .expr import (
     from_rat,
     is_const_expr,
     is_zero_expr,
-    lower,
     simplify,
+    solve_linear,
+    subst,
     to_rat,
 )
 from ._poly import Rat
@@ -149,102 +154,61 @@ class ConstraintMatrix:
         return "\n".join(lines)
 
 
-def _surface_points(constraints: Sequence[PhaseExpr], chart: Chart,
-                    count: int, seed: int,
-                    values_hint: Optional[Mapping[str, float]] = None,
-                    extra_exprs: Sequence[PhaseExpr] = ()
-                    ) -> Tuple[tuple, List[List[float]]]:
-    """Random numeric points satisfying every constraint to 1e-12.
+def _surface_map(constraints: Sequence[PhaseExpr], chart: Chart,
+                 exprs: Sequence[PhaseExpr]) -> Dict[str, PhaseExpr]:
+    """The constraint surface as a graph over the unsolved variables.
 
-    Starts from a random draw and runs Newton sweeps, adjusting for each
-    constraint the chart variable with the largest local gradient.  Returns
-    ``(inputs, points)``: ``inputs`` are the variable names and coefficient
-    atoms of the constraints, their gradients and ``extra_exprs`` (the
-    expressions the caller will evaluate at these points), and each point
-    lists their values in that order, ready for ``lower(..., inputs)``.
+    Each constraint in turn, after substituting the solutions so far, is
+    solved for the first of the chart's variables and ``tau`` whose
+    coefficient in it is a nonzero constant and that no atom of the
+    constraints or of ``exprs`` takes as argument; that solution is then
+    substituted into the earlier ones.  A constraint that reduces to zero
+    adds nothing; one with a pole on the surface of those before it, or
+    whose solution gives an earlier one a pole, makes the surface undefined.
     """
-    rng = np.random.default_rng(seed)
-    grads = [[diff(phi, v) for v in chart.variables] for phi in constraints]
-    names, atoms = set(chart.variables), set()
-    for e in list(constraints) + list(extra_exprs) + [
-            g for row in grads for g in row]:
-        names |= free_symbols(e)
-        atoms |= atoms_in(e)
-    inputs = tuple(sorted(names)) + tuple(
-        sorted(atoms, key=lambda a: (a.name, a.order, a.arg)))
-    slots = [inputs.index(v) for v in chart.variables]
-    hint = {inputs.index(k): float(v)
-            for k, v in (values_hint or {}).items() if k in names}
-    phi_fns = [lower([phi], inputs, time_var=None) for phi in constraints]
-    grad_fns = [[lower([g], inputs, time_var=None) for g in row]
-                for row in grads]
-
-    points = []
-    for _ in range(count):
-        for _attempt in range(25):
-            # parameters and coefficient atoms stay away from zero
-            values = [float(rng.uniform(-1.5, 1.5)) if key in chart.variables
-                      else float(rng.uniform(0.4, 1.6)) for key in inputs]
-            for slot, v in hint.items():
-                values[slot] = v
-            if _newton_project(phi_fns, grad_fns, slots, values):
-                points.append(values)
-                break
-        else:
-            raise BracketError(
-                "failed to sample the constraint surface; constraints may "
-                "be inconsistent"
-            )
-    return inputs, points
-
-
-def _newton_project(phi_fns, grad_fns, slots, values) -> bool:
-    for _sweep in range(60):
-        worst = 0.0
-        for phi, grad in zip(phi_fns, grad_fns):
-            try:
-                residual, = phi(0.0, values)
-            except ZeroDivisionError:
-                return False
-            worst = max(worst, abs(residual))
-            if abs(residual) < 1e-13:
-                continue
-            best_slot, best_slope = None, 0.0
-            for slot, slope_fn in zip(slots, grad):
-                try:
-                    slope, = slope_fn(0.0, values)
-                except ZeroDivisionError:
-                    continue
-                if abs(slope) > abs(best_slope):
-                    best_slot, best_slope = slot, slope
-            if best_slot is None:
-                return False
-            values[best_slot] -= residual / best_slope
-        if worst < 1e-13:
-            return True
+    pinned = {a.arg for e in (*constraints, *exprs) for a in atoms_in(e)}
+    names = [v for v in (*chart.variables, "tau") if v not in pinned]
+    surface: Dict[str, PhaseExpr] = {}
     try:
-        return all(abs(phi(0.0, values)[0]) < 1e-12 for phi in phi_fns)
-    except ZeroDivisionError:
-        return False
+        for k, phi in enumerate(constraints):
+            eq = subst(phi, surface)
+            if is_zero_expr(eq):
+                continue
+            for v in names:
+                solution = solve_linear(eq, v)
+                if solution is not None and is_const_expr(solution[0]):
+                    break
+            else:
+                raise BracketError(
+                    f"cannot reduce modulo constraint {k}: none of "
+                    f"{', '.join(names)} enters it linearly with a nonzero "
+                    f"constant coefficient")
+            surface = {u: subst(e, {v: solution[1]})
+                       for u, e in surface.items()}
+            surface[v] = solution[1]
+    except ExprError as err:
+        raise BracketError(f"constraints 0 to {k} have a pole on their "
+                           f"common surface") from err
+    return surface
 
 
-def _effectively_nonzero(bracket: PhaseExpr,
-                         surface: Tuple[tuple, Sequence[Sequence[float]]]
-                         ) -> bool:
-    if is_zero_expr(bracket):
-        return False
-    if is_const_expr(bracket):
-        return True
-    inputs, points = surface
-    fn = lower([bracket], inputs, time_var=None)
-    for values in points:
+def _weakly_zero(exprs: Sequence[PhaseExpr], constraints: Sequence[PhaseExpr],
+                 chart: Chart) -> Tuple[bool, ...]:
+    """Whether each expression vanishes on the constraint surface: all by
+    value when all are constant, else by reduction modulo the constraints
+    through ``_surface_map``.  A pole on the whole surface is nonzero."""
+    if all(is_const_expr(e) for e in exprs):
+        return tuple(is_zero_expr(e) for e in exprs)
+    surface = _surface_map(constraints, chart, exprs)
+    out = []
+    for e in exprs:
         try:
-            if abs(fn(0.0, values)[0]) > 1e-10:
-                return True
-        except ZeroDivisionError:
-            # a pole is as nonzero as it gets
-            return True
-    return False
+            out.append(is_zero_expr(subst(e, surface)))
+        except SubstitutionError:
+            raise
+        except ExprError:
+            out.append(False)       # a denominator zero on the surface
+    return tuple(out)
 
 
 def _eliminate(rows: List[List[Rat]]) -> Rat:
@@ -281,15 +245,13 @@ def _eliminate(rows: List[List[Rat]]) -> Rat:
 
 
 def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
-                      registry: Optional[AtomRegistry] = None,
-                      values_hint: Optional[Mapping[str, float]] = None
+                      registry: Optional[AtomRegistry] = None
                       ) -> ConstraintMatrix:
     """Differentiate each constraint once, build Δ_ab = {φ_a, φ_b} from the
     gradients, classify, and, for a regular Δ, build C and D.
 
     A constraint is second-class when some bracket with another constraint
-    is effectively nonzero on the constraint surface; identically zero and
-    sampled-zero brackets count as weakly vanishing.
+    does not reduce to zero modulo the constraints (``_weakly_zero``).
     """
     constraints = tuple(simplify(c) for c in constraints)
     n = len(constraints)
@@ -302,16 +264,8 @@ def constraint_matrix(constraints: Sequence[PhaseExpr], chart: Chart,
             if not is_zero_expr(delta[i][j] + delta[j][i]):
                 raise BracketError("constraint matrix lost antisymmetry")
 
-    entries = [e for row in delta for e in row]
-    need_points = any(not is_zero_expr(e) and not is_const_expr(e)
-                      for e in entries)
-    surface = (
-        _surface_points(constraints, chart, 16, 20260817, values_hint,
-                        extra_exprs=entries)
-        if need_points else ((), [])
-    )
-    weakly = tuple(tuple(not _effectively_nonzero(e, surface) for e in row)
-                   for row in delta)
+    flat = _weakly_zero([e for row in delta for e in row], constraints, chart)
+    weakly = tuple(flat[i * n:(i + 1) * n] for i in range(n))
     first = tuple(i for i in range(n) if all(weakly[i]))
     second = tuple(i for i in range(n) if not all(weakly[i]))
 

@@ -411,16 +411,13 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
 
     cs = ConstraintSet(primaries=elgd.primaries, gauge=scenario.gauge)
     chart = extended.chart
-    hint = {"m": scenario.m}
     # With a gauge fixed the multiplier is no longer free: consistency of
     # the gauge row pins it to the window slope.  Only the ungauged search
     # keeps a symbolic multiplier.
     lam = (num(scenario.gauge.slope) if scenario.gauge is not None
            else sym("lam"))
-    search = secondary_constraints(
-        cs, total_hamiltonian(cs, lam), chart,
-        registry=registry, values_hint=hint,
-    )
+    search = secondary_constraints(cs, total_hamiltonian(cs, lam), chart,
+                                   registry=registry)
     lines.append(
         f"  secondary constraints: "
         f"{len(search.secondaries) or 'none'} "

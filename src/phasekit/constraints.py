@@ -38,6 +38,7 @@ from .expr import (
     num,
     parse,
     simplify,
+    solve_linear,
     subst,
     sym,
     to_rat,
@@ -225,15 +226,6 @@ def null_residual(h: Hessian, model: LagrangianModel) -> Tuple[PhaseExpr, ...]:
 # Legendre transform
 # --------------------------------------------------------------------------
 
-def _solve_linear(equation: PhaseExpr, v: str) -> Optional[PhaseExpr]:
-    """Solve ``equation = 0`` for v when v appears linearly; else None."""
-    c = diff(equation, v)
-    if is_zero_expr(c) or v in free_symbols(c):
-        return None
-    rest = simplify(equation - Mul((c, sym(v))))
-    return simplify(-rest / c)
-
-
 def legendre(model: LagrangianModel) -> LegendreResult:
     """Momenta, Hamiltonian and primary constraints of the model.
 
@@ -272,9 +264,9 @@ def legendre(model: LagrangianModel) -> LegendreResult:
             for v in model.velocities:
                 if v not in present:
                     continue
-                solution = _solve_linear(eq, v)
+                solution = solve_linear(eq, v)
                 if solution is not None:
-                    solved[v] = solution
+                    solved[v] = solution[1]
                     break
             if solution is None:
                 still.append(p)
@@ -342,8 +334,7 @@ class SecondarySearch:
 
 
 def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
-                          registry: Optional[AtomRegistry] = None,
-                          values_hint: Optional[Mapping[str, float]] = None
+                          registry: Optional[AtomRegistry] = None
                           ) -> SecondarySearch:
     """Dirac's consistency search: add φ̇ until it vanishes weakly.
 
@@ -352,9 +343,9 @@ def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
     total Hamiltonian, so gauge constraints that carry τ explicitly are
     handled correctly.  Each pass builds the ``constraint_matrix`` of the
     current set (primaries, secondaries found so far, gauge), takes ∇φ from
-    it, and keeps the conditions that are effectively nonzero on the
-    current surface; the matrix of the pass that adds nothing is the
-    result.  Six passes at most.
+    it, and keeps the conditions that do not reduce to zero modulo the
+    current set; the matrix of the pass that adds nothing is the result.
+    Six passes at most.
     """
     flow = [to_rat(v) for v in
             hamilton_eom(total_h, chart, registry=registry).values()]
@@ -362,7 +353,7 @@ def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
     for pass_count in range(1, 7):
         known = ConstraintSet(cs.primaries, (*cs.secondaries, *found),
                               cs.gauge).all_constraints()
-        cm = constraint_matrix(known, chart, registry, values_hint)
+        cm = constraint_matrix(known, chart, registry)
         candidates = []
         for phi, grad in zip(cm.constraints, cm.gradients):
             c = to_rat(diff(phi, "tau", registry)) + _brackets._dot(grad, flow)
@@ -374,17 +365,8 @@ def secondary_constraints(cs: ConstraintSet, total_h: PhaseExpr, chart: Chart,
                     "the system is inconsistent"
                 )
             candidates.append(from_rat(c))
-        new: List[PhaseExpr] = []
-        if candidates:
-            surface = _brackets._surface_points(known, chart, 16, 20260817,
-                                                values_hint,
-                                                extra_exprs=candidates)
-            for c in candidates:
-                if not _brackets._effectively_nonzero(c, surface):
-                    continue
-                if any(is_zero_expr(c - k) for k in known):
-                    continue
-                new.append(c)
+        weakly = _brackets._weakly_zero(candidates, cm.constraints, chart)
+        new = [c for c, zero in zip(candidates, weakly) if not zero]
         if not new:
             return SecondarySearch(secondaries=tuple(found), passes=pass_count,
                                    matrix=cm)

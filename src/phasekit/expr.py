@@ -402,6 +402,18 @@ def subst(e: PhaseExpr, mapping: Mapping[str, "PhaseExpr | Number"]) -> PhaseExp
     return from_rat(_poly.poly_at(r.num, images) / den)
 
 
+def solve_linear(equation: PhaseExpr, v: str
+                 ) -> Optional[Tuple[PhaseExpr, PhaseExpr]]:
+    """Solve ``equation = 0`` for v when v appears linearly: the pair
+    ``(c, s)`` of its coefficient c, free of v, and the solution
+    v = s; else None."""
+    c = diff(equation, v)
+    if is_zero_expr(c) or v in free_symbols(c):
+        return None
+    rest = simplify(equation - Mul((c, sym(v))))
+    return c, simplify(-rest / c)
+
+
 # --------------------------------------------------------------------------
 # numeric profiles and the atom registry
 # --------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_criterion_2_dirac_defining_property():
     cs = ConstraintSet(primaries=(phi,),
                        gauge=GaugeSpec((0.0, 1.0, 0.0, 10.0)))
     cm = constraint_matrix(cs.all_constraints(), EXTENDED_CHART,
-                           registry=registry, values_hint={"m": 1.0})
+                           registry=registry)
     rng = np.random.default_rng(20260817)
     failures = 0
     for _ in range(20):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from phasekit import (
     EXTENDED_CHART,
     ORIGINAL_CHART,
+    BracketError,
     ChartMismatchError,
     ConstraintSet,
     GaugeSpec,
@@ -28,10 +29,12 @@ from phasekit import (
     parse,
     poisson,
     simplify,
+    subst,
     sym,
 )
-from phasekit.brackets import _surface_points
-from phasekit.expr import is_const_expr
+from phasekit import brackets
+from phasekit.brackets import _surface_map, _weakly_zero
+from phasekit.expr import Chart, SubstitutionError, is_const_expr
 
 from _support import constant_registry
 
@@ -47,7 +50,7 @@ def gauged_system():
     gauge = GaugeSpec((0.0, 1.0, 0.0, 10.0))
     cs = ConstraintSet(primaries=(phi,), gauge=gauge)
     cm = constraint_matrix(cs.all_constraints(), EXTENDED_CHART,
-                           registry=registry, values_hint={"m": 1.0})
+                           registry=registry)
     return registry, phi, gauge, cm
 
 
@@ -157,32 +160,61 @@ def test_params_whitelist_enforced():
 
 
 # ---------------------------------------------------------------------------
-# constraint surface sampling
+# weak vanishing: reduction modulo the constraints
 # ---------------------------------------------------------------------------
 
-def test_surface_points_satisfy_constraints(gauged_system):
-    registry, phi, gauge, _ = gauged_system
-    constraints = (phi, gauge.eta_gauge)
-    inputs, pts = _surface_points(constraints, EXTENDED_CHART, 8, 99,
-                                  values_hint={"m": 1.0})
-    assert len(pts) == 8
-    for values in pts:
-        point = dict(zip(inputs, values))
-        assert point["m"] == 1.0
-        for c in constraints:
-            assert abs(eval_expr(c, point)) < 1e-10
+TOY = Chart((("x", "p"),), label="toy")
 
 
-def test_surface_points_cover_extra_expression_symbols(gauged_system):
-    # the caller's target expressions may hold atoms the constraints lack;
-    # every such symbol must get a value or downstream evaluation dies
+def test_weak_but_not_strong_zero_is_first_class():
+    # Δ₀₁ = −p1_tau is a nonzero expression, but zero where p1_tau = 0
+    constraints = [sym("p1_tau"), parse("x1_tau*p1_tau + p2_tau", EXT_VARS)]
+    cm = constraint_matrix(constraints, EXTENDED_CHART)
+    assert equivalent(cm.delta[0][1], parse("-p1_tau", EXT_VARS))
+    assert cm.first_class == (0, 1)
+    assert cm.inverse is None
+
+
+def test_surface_map_solves_the_gauged_pair(gauged_system):
     registry, phi, gauge, _ = gauged_system
-    target = parse("eta_fric(t_tau)*p1_tau", EXT_VARS, registry)
-    inputs, pts = _surface_points((phi, gauge.eta_gauge), EXTENDED_CHART,
-                                  4, 7, values_hint={"m": 1.0},
-                                  extra_exprs=[target])
-    for values in pts:
-        eval_expr(target, dict(zip(inputs, values)))  # must not raise
+    surface = _surface_map((phi, gauge.eta_gauge), EXTENDED_CHART, ())
+    # t_tau is the argument of w and f, so the gauge is solved for tau
+    assert set(surface) == {"p_tau", "tau"}
+    assert equivalent(surface["tau"], parse("t_tau/10", ["t_tau"]))
+    for c in (phi, gauge.eta_gauge):
+        assert is_zero_expr(subst(c, surface))
+
+
+def test_no_linear_solve_raises_one_line():
+    constraints = [parse("x^2 + p^2 - 1", ["x", "p"]), parse("x*p", ["x", "p"])]
+    with pytest.raises(BracketError) as err:
+        constraint_matrix(constraints, TOY)
+    assert str(err.value) == (
+        "cannot reduce modulo constraint 0: none of x, p, tau enters it "
+        "linearly with a nonzero constant coefficient")
+
+
+def test_pole_on_the_whole_surface_is_nonzero():
+    exprs = [parse(t, ["x", "p"]) for t in ("x/p", "x*p", "x", "0", "2")]
+    assert _weakly_zero(exprs, [sym("p")], TOY) == (
+        False, True, False, True, False)
+
+
+def test_pole_in_a_constraint_on_the_surface_raises_one_line():
+    chart = Chart((("x", "p"), ("y", "q")))
+    constraints = [sym("p"), parse("q + x/p", chart.variables)]
+    with pytest.raises(BracketError) as err:
+        constraint_matrix(constraints, chart)
+    assert str(err.value) == (
+        "constraints 0 to 1 have a pole on their common surface")
+
+
+def test_substitution_error_is_not_taken_for_nonzero(monkeypatch):
+    monkeypatch.setattr(brackets, "_surface_map",
+                        lambda *args: {"t_tau": sym("tau") + num(1)})
+    target = parse("w(t_tau)*x1_tau", EXT_VARS, constant_registry())
+    with pytest.raises(SubstitutionError):
+        _weakly_zero([target], [sym("p_tau")], EXTENDED_CHART)
 
 
 # ---------------------------------------------------------------------------

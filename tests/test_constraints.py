@@ -196,8 +196,7 @@ def test_gauged_search_closes_without_secondaries(registry, extended):
     cs = ConstraintSet(primaries=(phi,), gauge=gauge)
     search = secondary_constraints(
         cs, total_hamiltonian(cs, num(10)), extended.chart,
-        registry=registry, values_hint={"m": 1.0},
-    )
+        registry=registry)
     assert search.secondaries == ()
     assert search.passes == 1
 
@@ -207,8 +206,7 @@ def test_ungauged_search_closes_for_symbolic_multiplier(registry, extended):
     cs = ConstraintSet(primaries=(phi,))
     search = secondary_constraints(
         cs, total_hamiltonian(cs, sym("lam")), extended.chart,
-        registry=registry, values_hint={"m": 1.0},
-    )
+        registry=registry)
     assert search.secondaries == ()
     assert search.passes == 1
 
@@ -244,8 +242,7 @@ def test_gauged_search_differentiates_each_constraint_and_h_t_once(
         return gradient(e, chart, reg)
 
     monkeypatch.setattr(brackets, "_gradient", counting)
-    secondary_constraints(cs, total_h, extended.chart, registry=registry,
-                          values_hint={"m": 1.0})
+    secondary_constraints(cs, total_h, extended.chart, registry=registry)
     # phi and eta_gauge for the matrix, H_T for the flow
     assert len(seen) == 3
 
@@ -253,15 +250,33 @@ def test_gauged_search_differentiates_each_constraint_and_h_t_once(
 def _toy_search():
     chart = Chart((("x", "p"),), label="toy")
     cs = ConstraintSet(primaries=(sym("p"),))
-    return cs, parse("p^2/2 + x^2/2", ["x", "p"]), chart, None, None
+    return cs, parse("p^2/2 + x^2/2", ["x", "p"]), chart, None
 
 
 def _oscillator_search(registry, extended, gauge):
     cs = ConstraintSet(primaries=(legendre(extended).primaries[0],),
                        gauge=gauge)
     lam = num(gauge.slope) if gauge is not None else sym("lam")
-    return (cs, total_hamiltonian(cs, lam), extended.chart, registry,
-            {"m": 1.0})
+    return cs, total_hamiltonian(cs, lam), extended.chart, registry
+
+
+@pytest.mark.parametrize("gauged", [True, False],
+                         ids=["gauged", "ungauged"])
+def test_oscillator_search_never_builds_the_surface_map(registry, extended,
+                                                       gauged, monkeypatch):
+    # Δ is constant and every consistency condition is exactly zero, so
+    # weak vanishing never needs the reduction modulo the constraints
+    def refuse(*args):
+        raise AssertionError("surface map built")
+
+    monkeypatch.setattr(brackets, "_surface_map", refuse)
+    search = secondary_constraints(*_oscillator_search(
+        registry, extended,
+        GaugeSpec((0.0, 1.0, 0.0, 10.0)) if gauged else None))
+    assert (search.secondaries, search.passes) == ((), 1)
+    # the toy search needs the map, so the patch is on the path it takes
+    with pytest.raises(AssertionError, match="surface map built"):
+        secondary_constraints(*_toy_search())
 
 
 @pytest.mark.parametrize("system, second_class", [
@@ -269,15 +284,14 @@ def _oscillator_search(registry, extended, gauge):
     ids=["toy", "gauged", "ungauged"])
 def test_search_returns_the_matrix_of_the_closed_set(registry, extended,
                                                      system, second_class):
-    cs, total_h, chart, reg, hint = (
+    cs, total_h, chart, reg = (
         _toy_search() if system == "toy" else _oscillator_search(
             registry, extended,
             GaugeSpec((0.0, 1.0, 0.0, 10.0)) if system == "gauged" else None))
-    search = secondary_constraints(cs, total_h, chart, registry=reg,
-                                   values_hint=hint)
+    search = secondary_constraints(cs, total_h, chart, registry=reg)
     closed = ConstraintSet(cs.primaries, search.secondaries, cs.gauge)
     expected = constraint_matrix(closed.all_constraints(), chart,
-                                 registry=reg, values_hint=hint)
+                                 registry=reg)
     got = search.matrix
     assert got.constraints == expected.constraints
     assert got.delta == expected.delta

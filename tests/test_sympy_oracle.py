@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from phasekit import antiderivative, simplify, subst, sym
 from phasekit._poly import Rat, poly_gcd, poly_mul, rat_diff
-from phasekit.brackets import _eliminate
-from phasekit.expr import Add, Div, ExprError, Mul, Num, Pow, Sym, to_rat
+from phasekit.brackets import _eliminate, _surface_map, _weakly_zero
+from phasekit.expr import (Add, Chart, Div, ExprError, Mul, Num, Pow, Sym,
+                           to_rat)
 
 sympy = pytest.importorskip("sympy")
 
@@ -338,3 +339,52 @@ def test_antiderivative_differentiates_back_to_a_polynomial_in_t(p, den):
     got = sympy_tree(integral)
     assert sympy.cancel(sympy.diff(got, T) - expected) == 0
     assert sympy.cancel(got.subs(T, 0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# weak vanishing
+# ---------------------------------------------------------------------------
+
+GRAPH_CHART = Chart((("x", "p"), ("y", "q")))
+
+
+def poly_trees(names):
+    """Σ c·Π v^k over ``names``, up to three terms of degree up to four."""
+    monomials = st.lists(st.tuples(st.sampled_from(names), st.integers(1, 2)),
+                         max_size=2)
+    return st.lists(st.tuples(coeffs, monomials), min_size=1, max_size=3).map(
+        lambda terms: Add(tuple(
+            Mul((Num(c), *(Pow(sym(v), k) for v, k in mono)))
+            for c, mono in terms)))
+
+
+@st.composite
+def linear_graphs(draw):
+    """One or two constraints c·v + g, each v its own chart variable and g
+    a polynomial in the variables no constraint singles out, with a target
+    that is a polynomial, a multiple of a constraint, or a sum of both."""
+    names = GRAPH_CHART.variables
+    singled = draw(st.permutations(names))[:draw(st.integers(1, 2))]
+    rest = [v for v in names if v not in singled]
+    constraints = [Add((Mul((Num(draw(coeffs)), sym(v))),
+                        draw(poly_trees(rest)))) for v in singled]
+    kind = draw(st.sampled_from(["poly", "multiple", "sum"]))
+    parts = []
+    if kind != "multiple":
+        parts.append(draw(poly_trees(names)))
+    if kind != "poly":
+        parts.append(Mul((draw(poly_trees(names)),
+                          draw(st.sampled_from(constraints)))))
+    return constraints, Add(tuple(parts))
+
+
+@settings(max_examples=60)
+@given(linear_graphs())
+def test_weak_vanishing_matches_sympy_solve_and_cancel(system):
+    constraints, target = system
+    zero, = _weakly_zero([target], constraints, GRAPH_CHART)
+    solved = _surface_map(constraints, GRAPH_CHART, [target])
+    solutions = sympy.solve([sympy_tree(c) for c in constraints],
+                            [sympy.Symbol(v) for v in solved], dict=True)
+    assert len(solutions) == 1
+    assert zero == (sympy.cancel(sympy_tree(target).subs(solutions[0])) == 0)
