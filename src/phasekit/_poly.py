@@ -1,21 +1,25 @@
 """Exact multivariate rational arithmetic backing the expression algebra.
 
-Internal module.  A polynomial is a dict mapping a monomial to a nonzero
-``int`` coefficient; a monomial is a sorted tuple of ``(key, exponent)``
-pairs with positive integer exponents.  Keys are opaque orderable tuples
+Internal module.  A rational form ``Rat`` carries ``keys``, the sorted tuple
+of the variables that occur in it; keys are opaque orderable tuples
 supplied by the expression layer (one per symbol or coefficient-atom
-instance).  A rational form is a numerator/denominator pair over ℤ that is
-coprime, integer content included, with a positive leading denominator
-coefficient; that form is canonical, so two expressions are equal iff their
-rational forms are equal dict-for-dict.  ``Rat`` and ``poly_gcd`` also
-accept ``Fraction`` coefficients and clear denominators once on entry;
-otherwise ``Fraction`` appears only where a constant is built or read.
+instance).  Its numerator and denominator are polynomials over those keys:
+dicts mapping an exponent vector ``(total degree, e_1, ..., e_n)`` to a
+nonzero ``int`` coefficient.  Tuple order on the vectors is the graded
+lexicographic order, so ``max(p)`` is p's leading monomial.  An operation on
+two forms first aligns them onto their joint keys, re-indexing the vectors
+as sympy's ``PolyElement.set_ring`` does, and every result drops the keys
+that no longer occur.  The numerator and denominator are coprime over ℤ,
+integer content included, with a positive leading denominator coefficient;
+that form is canonical, so two expressions are equal iff their rational
+forms are equal.  ``Rat`` and ``poly_gcd`` also accept ``Fraction``
+coefficients and clear denominators once on entry; otherwise ``Fraction``
+appears only where a constant is built or read.
 
-gcds and exact divisions run on exponent vectors over the operands' joint
-variables.  ``poly_gcd`` first tries the heuristic GCDHEU (Char, Geddes &
-Gonnet, J. Symbolic Comput. 7, 1989), which evaluates the polynomials at
-integers, takes integer gcds and interpolates back; a candidate counts only
-when exact division confirms it.  Otherwise the primitive subresultant PRS
+``poly_gcd`` first tries the heuristic GCDHEU (Char, Geddes & Gonnet,
+J. Symbolic Comput. 7, 1989), which evaluates the polynomials at integers,
+takes integer gcds and interpolates back; a candidate counts only when
+exact division confirms it.  Otherwise the primitive subresultant PRS
 (Brown, JACM 18(4), 1971) decides.  Sums and products of rational forms use
 Henrici's gcd-saving formulas (Knuth, TAOCP vol. 2, §4.5.1).
 """
@@ -25,17 +29,11 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
-from operator import add, neg, sub
+from operator import add, itemgetter, neg, sub
 from typing import Dict, Optional, Tuple
 
-Mono = Tuple[Tuple[tuple, int], ...]
-Poly = Dict[Mono, int]
-# an exponent vector (total degree, e_1, ..., e_n) over sorted variables:
-# tuple order is the graded lexicographic order of mono_cmp
-Vec = Tuple[int, ...]
-Packed = Dict[Vec, int]
-
-MONO_ONE: Mono = ()
+# exponent vector (total degree, e_1, ..., e_n) -> nonzero int coefficient
+Poly = Dict[Tuple[int, ...], int]
 
 # GCDHEU tries six evaluation points, and leaves the gcd to the PRS once
 # ξ's bit length times the degree in the evaluated variable, a bound on the
@@ -49,129 +47,11 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-def poly_symbol(key: tuple, exp: int = 1) -> Poly:
-    if exp == 0:
-        return {MONO_ONE: 1}
-    return {((key, exp),): 1}
-
-
-def is_zero(p: Poly) -> bool:
-    return not p
-
-
-def is_const(p: Poly) -> bool:
-    return not p or (len(p) == 1 and MONO_ONE in p)
-
-
 def _is_one(p: Poly) -> bool:
-    return len(p) == 1 and p.get(MONO_ONE) == 1
-
-
-def const_value(p: Poly) -> int:
-    if not p:
-        return 0
-    return p[MONO_ONE]
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for k, e in b:
-        ne = merged.get(k, 0) + e
-        if ne:
-            merged[k] = ne
-        else:
-            del merged[k]
-    return tuple(sorted(merged.items()))
-
-
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
-def mono_cmp(a: Mono, b: Mono) -> int:
-    """Graded lexicographic order; multiplicative, hence usable for division."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    # equal degrees: the first differing pair decides, and a key that only
-    # one side has is an exponent the other side lacks
-    for (ka, ea), (kb, eb) in zip(a, b):
-        if ka != kb:
-            return 1 if ka < kb else -1
-        if ea != eb:
-            return -1 if ea < eb else 1
-    return 0
-
-
-def leading(p: Poly) -> Tuple[Mono, int]:
-    best = None
-    for m in p:
-        if best is None or mono_cmp(m, best) > 0:
-            best = m
-    return best, p[best]
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for m, c in b.items():
-        nc = out.get(m, 0) + c
-        if nc:
-            out[m] = nc
-        else:
-            out.pop(m, None)
-    return out
-
-
-def poly_neg(a: Poly) -> Poly:
-    return {m: -c for m, c in a.items()}
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, poly_neg(b))
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return {}
-    out: Poly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = mono_mul(ma, mb)
-            nc = out.get(m, 0) + ca * cb
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    return out
-
-
-def poly_pow(a: Poly, n: int) -> Poly:
-    if n < 0:
-        raise ValueError("poly_pow expects a nonnegative exponent")
-    out = {MONO_ONE: 1}
-    base = a
-    while n:
-        if n & 1:
-            out = poly_mul(out, base)
-        base = poly_mul(base, base) if n > 1 else base
-        n >>= 1
-    return out
-
-
-def poly_vars(p: Poly) -> set:
-    out = set()
-    for m in p:
-        for k, _ in m:
-            out.add(k)
-    return out
+    if len(p) != 1:
+        return False
+    (v, c), = p.items()
+    return c == 1 and not v[0]
 
 
 def _integral(*polys: Poly) -> Tuple[Poly, ...]:
@@ -185,47 +65,59 @@ def _integral(*polys: Poly) -> Tuple[Poly, ...]:
     return tuple({k: int(c * m) for k, c in p.items()} for p in polys)
 
 
-# --------------------------------------------------------------------------
-# exponent vectors over the joint variables of a gcd or a division
-# --------------------------------------------------------------------------
-
-def _pack(*polys: Poly):
-    keys = sorted(set().union(*map(poly_vars, polys)))
-    index = {k: i for i, k in enumerate(keys, 1)}
-    width = len(keys) + 1
-    out = []
-    for p in polys:
-        q = {}
-        for m, c in p.items():
-            v = [0] * width
-            for k, e in m:
-                v[index[k]] = e
-                v[0] += e
-            q[tuple(v)] = c
-        out.append(q)
-    return keys, out
+def _reindex(keys: tuple, new: tuple, *polys: Poly) -> Tuple[Poly, ...]:
+    """Polynomials over ``keys`` as polynomials over ``new``: a key of
+    ``new`` that ``keys`` lacks gets exponent 0, and a key that ``new``
+    lacks must have exponent 0 in every term."""
+    if not keys or not new:
+        # constants: the one term has the zero vector of the new width
+        zero = (0,) * (len(new) + 1)
+        return tuple({zero: c for c in p.values()} for p in polys)
+    at = {k: i for i, k in enumerate(keys, 1)}
+    missing = len(keys) + 1
+    get = itemgetter(0, *(at.get(k, missing) for k in new))
+    return tuple({get(v + (0,)): c for v, c in p.items()} for p in polys)
 
 
-def _unpack(p: Packed, keys) -> Poly:
-    return {tuple((k, e) for k, e in zip(keys, v[1:]) if e): c
-            for v, c in p.items()}
-
-
-def _degrees(p: Packed) -> list:
+def _degrees(p: Poly) -> list:
     """Per-position maximum exponent (position 0: total degree)."""
     return list(map(max, zip(*p)))
 
 
-def _positive(p: Packed) -> Packed:
+def _positive(p: Poly) -> Poly:
     return {v: -c for v, c in p.items()} if p[max(p)] < 0 else p
 
 
-def _divide_int(p: Packed, c: int) -> Packed:
+def _neg(p: Poly) -> Poly:
+    return {v: -c for v, c in p.items()}
+
+
+def _divide_int(p: Poly, c: int) -> Poly:
     return p if c == 1 else {v: x // c for v, x in p.items()}
 
 
-def _pmul(a: Packed, b: Packed) -> Packed:
-    out: Packed = {}
+def _times(p: Poly, c: int) -> Poly:
+    return p if c == 1 else {v: x * c for v, x in p.items()}
+
+
+def _add(a: Poly, b: Poly) -> Poly:
+    out = dict(a)
+    for v, c in b.items():
+        nc = out.get(v, 0) + c
+        if nc:
+            out[v] = nc
+        else:
+            del out[v]
+    return out
+
+
+def _sub(a: Poly, b: Poly) -> Poly:
+    return _add(a, _neg(b))
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    """Product of two polynomials over the same keys."""
+    out: Poly = {}
     for va, ca in a.items():
         for vb, cb in b.items():
             v = tuple(map(add, va, vb))
@@ -237,30 +129,24 @@ def _pmul(a: Packed, b: Packed) -> Packed:
     return out
 
 
-def _ppow(p: Packed, n: int) -> Packed:
-    out = p
-    for _ in range(n - 1):
-        out = _pmul(out, p)
-    return out
+def _pow(p: Poly, n: int) -> Poly:
+    """p to the power n ≥ 1, by repeated squaring."""
+    out = None
+    while True:
+        if n & 1:
+            out = p if out is None else poly_mul(out, p)
+        n >>= 1
+        if not n:
+            return out
+        p = poly_mul(p, p)
 
 
-def _psub(a: Packed, b: Packed) -> Packed:
-    out = dict(a)
-    for v, c in b.items():
-        nc = out.get(v, 0) - c
-        if nc:
-            out[v] = nc
-        else:
-            del out[v]
-    return out
-
-
-def _pdiv(a: Packed, b: Packed) -> Optional[Packed]:
+def _pdiv(a: Poly, b: Poly) -> Optional[Poly]:
     """a / b over ℤ, or None when b does not divide a."""
     lm_b = max(b)
     lc_b = b[lm_b]
     rest = [(v, c) for v, c in b.items() if v != lm_b]
-    q: Packed = {}
+    q: Poly = {}
     if not rest:
         for v, c in a.items():
             dv = tuple(map(sub, v, lm_b))
@@ -296,28 +182,11 @@ def _pdiv(a: Packed, b: Packed) -> Optional[Packed]:
     return q
 
 
-def _exact(a: Packed, b: Packed) -> Packed:
+def _exact(a: Poly, b: Poly) -> Poly:
     q = _pdiv(a, b)
     if q is None:
         raise ExactDivisionError("division is not exact")
     return q
-
-
-def poly_div_exact(a: Poly, b: Poly) -> Poly:
-    """Exact division a/b over ℤ; raises ExactDivisionError on a remainder."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return {}
-    if is_const(b):
-        d = b[MONO_ONE]
-        if d == 1:
-            return dict(a)
-        if any(c % d for c in a.values()):
-            raise ExactDivisionError("division is not exact")
-        return {m: c // d for m, c in a.items()}
-    keys, (pa, pb) = _pack(a, b)
-    return _unpack(_exact(pa, pb), keys)
 
 
 # --------------------------------------------------------------------------
@@ -325,36 +194,33 @@ def poly_div_exact(a: Poly, b: Poly) -> Poly:
 # --------------------------------------------------------------------------
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """gcd over ℤ with a positive leading coefficient; the gcd of two
-    constants is their integer gcd.  ``Fraction`` coefficients are cleared
-    first, so the result is then the gcd over ℚ up to a constant factor.
+    """gcd over ℤ of two polynomials over the same keys, with a positive
+    leading coefficient; the gcd of two constants is their integer gcd.
+    ``Fraction`` coefficients are cleared first, so the result is then the
+    gcd over ℚ up to a constant factor.
     """
     a, = _integral(a)
     b, = _integral(b)
     if not a or not b:
-        if not a and not b:
-            return {}
-        c = a or b
-        return poly_neg(c) if leading(c)[1] < 0 else dict(c)
-    if is_const(a) or is_const(b):
-        return {MONO_ONE: gcd(*a.values(), *b.values())}
+        return _positive(a or b) if a or b else {}
     if a == b:
-        return poly_neg(a) if leading(a)[1] < 0 else dict(a)
-    keys, (pa, pb) = _pack(a, b)
-    return _unpack(_gcd(pa, pb), keys)
+        return _positive(a)
+    return _gcd(a, b)
 
 
-def _gcd(a: Packed, b: Packed) -> Packed:
-    """gcd of nonzero packed polynomials, leading coefficient positive."""
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """gcd of nonzero polynomials, leading coefficient positive."""
     h = _heu_gcd(a, b)
     return _positive(h if h is not None else _prs_gcd(a, b))
 
 
-def _trivial_gcd(a: Packed, b: Packed) -> Optional[Packed]:
+def _trivial_gcd(a: Poly, b: Poly) -> Optional[Poly]:
     """The gcd when one side is a single term or no variable is shared."""
     if len(a) == 1 or len(b) == 1:
         (m, c), other = (next(iter(a.items())), b) if len(a) == 1 else \
             (next(iter(b.items())), a)
+        if not m[0]:
+            return {m: gcd(c, *other.values())}
         # a monomial's divisors are monomials: take the least exponents
         low = list(m)
         for v in other:
@@ -368,7 +234,7 @@ def _trivial_gcd(a: Packed, b: Packed) -> Optional[Packed]:
     return None
 
 
-def _heu_gcd(f: Packed, g: Packed) -> Optional[Packed]:
+def _heu_gcd(f: Poly, g: Poly) -> Optional[Poly]:
     """GCDHEU: a gcd of f and g, or None when the heuristic gives up.
 
     A shared variable is evaluated at ξ > 2 + 2·min(|f|∞, |g|∞), the gcd of
@@ -401,14 +267,10 @@ def _heu_gcd(f: Packed, g: Packed) -> Optional[Packed]:
     return None
 
 
-def _times(p: Packed, c: int) -> Packed:
-    return p if c == 1 else {v: x * c for v, x in p.items()}
-
-
-def _evaluate(p: Packed, i: int, xi: int) -> Packed:
+def _evaluate(p: Poly, i: int, xi: int) -> Poly:
     """p with variable i replaced by the integer xi."""
     powers = [1]
-    out: Packed = {}
+    out: Poly = {}
     for v, c in p.items():
         e = v[i]
         if e:
@@ -424,14 +286,14 @@ def _evaluate(p: Packed, i: int, xi: int) -> Packed:
     return out
 
 
-def _interpolate(p: Packed, i: int, xi: int) -> Packed:
+def _interpolate(p: Poly, i: int, xi: int) -> Poly:
     """The polynomial in variable i whose value at xi is p, with digits
     in the symmetric range (-xi/2, xi/2]."""
     half = xi // 2
-    out: Packed = {}
+    out: Poly = {}
     e = 0
     while p:
-        rest: Packed = {}
+        rest: Poly = {}
         for v, c in p.items():
             digit = c % xi
             if digit > half:
@@ -446,9 +308,9 @@ def _interpolate(p: Packed, i: int, xi: int) -> Packed:
     return out
 
 
-def _coeffs(p: Packed, i: int) -> Dict[int, Packed]:
-    """p as a polynomial in variable i with packed coefficients."""
-    out: Dict[int, Packed] = {}
+def _coeffs(p: Poly, i: int) -> Dict[int, Poly]:
+    """p as a polynomial in variable i with coefficients in the others."""
+    out: Dict[int, Poly] = {}
     for v, c in p.items():
         e = v[i]
         if e:
@@ -457,33 +319,29 @@ def _coeffs(p: Packed, i: int) -> Dict[int, Packed]:
     return out
 
 
-def _lc(p: Packed, i: int) -> Packed:
+def _lc(p: Poly, i: int) -> Poly:
     coeffs = _coeffs(p, i)
     return coeffs[max(coeffs)]
 
 
-def _shift(p: Packed, i: int, k: int) -> Packed:
+def _shift(p: Poly, i: int, k: int) -> Poly:
     """p times variable i to the power k."""
     return {(v[0] + k,) + v[1:i] + (v[i] + k,) + v[i + 1:]: c
             for v, c in p.items()}
 
 
-def _content(p: Packed, i: int) -> Packed:
+def _content(p: Poly, i: int) -> Poly:
     """gcd of p's coefficients in variable i."""
     coeffs = iter(_coeffs(p, i).values())
     g = _positive(next(coeffs))
     for c in coeffs:
-        if _is_unit(g):
+        if _is_one(g):
             break
         g = _gcd(g, c)
     return g
 
 
-def _is_unit(p: Packed) -> bool:
-    return len(p) == 1 and 1 in p.values() and not max(p)[0]
-
-
-def _prem(a: Packed, b: Packed, i: int) -> Packed:
+def _prem(a: Poly, b: Poly, i: int) -> Poly:
     """Canonical pseudo-remainder lc(b)^(da-db+1)·a mod b in variable i."""
     db = max(v[i] for v in b)
     lc_b = _lc(b, i)
@@ -494,16 +352,17 @@ def _prem(a: Packed, b: Packed, i: int) -> Packed:
         dr = max(coeffs)
         if dr < db:
             break
-        r = _psub(_pmul(lc_b, r), _pmul(_shift(coeffs[dr], i, dr - db), b))
+        r = _sub(poly_mul(lc_b, r),
+                 poly_mul(_shift(coeffs[dr], i, dr - db), b))
         steps -= 1
     # early cancellations skip rounds; pad so the divisor bookkeeping of the
     # subresultant sequence stays exact
     if steps > 0 and r:
-        r = _pmul(_ppow(lc_b, steps), r)
+        r = poly_mul(_pow(lc_b, steps), r)
     return r
 
 
-def _prs_gcd(a: Packed, b: Packed) -> Packed:
+def _prs_gcd(a: Poly, b: Poly) -> Poly:
     """Subresultant pseudo-remainder sequence on the primitive parts: each
     remainder divides exactly by g·h^delta, so no per-step content
     extraction is needed and the coefficient growth stays polynomial."""
@@ -526,13 +385,13 @@ def _prs_gcd(a: Packed, b: Packed) -> Packed:
         if not max(v[i] for v in r):
             # a constant (in i) remainder: the primitive parts are coprime
             return cg
-        pa, pb = pb, _exact(r, _pmul(g, _ppow(h, delta)) if delta else g)
+        pa, pb = pb, _exact(r, poly_mul(g, _pow(h, delta)) if delta else g)
         g = _lc(pa, i)
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _exact(_ppow(g, delta), _ppow(h, delta - 1))
-    return _positive(_pmul(cg, _exact(pb, _content(pb, i))))
+            h = _exact(_pow(g, delta), _pow(h, delta - 1))
+    return _positive(poly_mul(cg, _exact(pb, _content(pb, i))))
 
 
 # --------------------------------------------------------------------------
@@ -540,183 +399,211 @@ def _prs_gcd(a: Packed, b: Packed) -> Packed:
 # --------------------------------------------------------------------------
 
 def _normal_sign(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
-    if leading(den)[1] < 0:
-        return poly_neg(num), poly_neg(den)
+    if den[max(den)] < 0:
+        return _neg(num), _neg(den)
     return num, den
 
 
+def _compact(keys: tuple, num: Poly, den: Poly):
+    """The form over the keys that occur in its numerator or denominator."""
+    used = list(map(any, zip(*num, *den)))
+    if all(used):
+        return keys, num, den
+    kept = tuple(k for k, u in zip(keys, used[1:]) if u)
+    return (kept, *_reindex(keys, kept, num, den))
+
+
 class Rat:
-    """Reduced rational form num/den over ℤ: coprime numerator and
-    denominator, the denominator's leading coefficient positive."""
+    """Reduced rational form num/den over ℤ in the variables ``keys``:
+    coprime numerator and denominator, the denominator's leading
+    coefficient positive, and every key occurring in one of them."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("keys", "num", "den")
 
-    def __init__(self, num: Poly, den: Poly, reduce: bool = True):
-        if is_zero(den):
+    def __init__(self, keys: tuple, num: Poly, den: Poly,
+                 reduce: bool = True):
+        if not den:
             raise ZeroDivisionError("zero denominator in rational form")
-        if is_zero(num):
-            num, den = {}, {MONO_ONE: 1}
-        elif reduce:
-            num, den = _integral(num, den)
-            g = poly_gcd(num, den)
-            if not _is_one(g):
-                num = poly_div_exact(num, g)
-                den = poly_div_exact(den, g)
-            num, den = _normal_sign(num, den)
+        if not num:
+            keys, num, den = (), {}, {(0,): 1}
+        else:
+            if reduce:
+                num, den = _integral(num, den)
+                g = poly_gcd(num, den)
+                if not _is_one(g):
+                    num, den = _exact(num, g), _exact(den, g)
+                num, den = _normal_sign(num, den)
+            if keys:
+                keys, num, den = _compact(keys, num, den)
+        self.keys = keys
         self.num = num
         self.den = den
 
     @staticmethod
     def const(c) -> "Rat":
         c = Fraction(c)
-        return Rat({MONO_ONE: c.numerator} if c else {},
-                   {MONO_ONE: c.denominator}, reduce=False)
+        return Rat((), {(0,): c.numerator} if c else {},
+                   {(0,): c.denominator}, reduce=False)
 
     @staticmethod
     def symbol(key: tuple) -> "Rat":
-        return Rat(poly_symbol(key), {MONO_ONE: 1}, reduce=False)
+        return Rat((key,), {(1, 1): 1}, {(0, 0): 1}, reduce=False)
 
     def is_zero(self) -> bool:
-        return is_zero(self.num)
+        return not self.num
 
     def is_const(self) -> bool:
-        return is_const(self.num) and is_const(self.den)
+        return not self.keys
 
     def const_value(self) -> Fraction:
-        return Fraction(const_value(self.num), const_value(self.den))
+        return Fraction(self.num.get((0,), 0), self.den[(0,)])
 
     def __eq__(self, other):
         return (
             isinstance(other, Rat)
+            and self.keys == other.keys
             and self.num == other.num
             and self.den == other.den
         )
 
     def __hash__(self):
-        return hash(
-            (
-                tuple(sorted(self.num.items())),
-                tuple(sorted(self.den.items())),
-            )
-        )
+        return hash((self.keys, frozenset(self.num.items()),
+                     frozenset(self.den.items())))
 
     def __add__(self, other: "Rat") -> "Rat":
-        if self.is_zero():
+        if not self.num:
             return other
-        if other.is_zero():
+        if not other.num:
             return self
-        a, b, c, d = self.num, self.den, other.num, other.den
+        keys, a, b, c, d = _align(self, other)
         # over a unit denominator the sum is already reduced
         if _is_one(b):
-            return Rat(poly_add(poly_mul(a, d) if not _is_one(d) else a, c),
+            return Rat(keys, _add(poly_mul(a, d) if not _is_one(d) else a, c),
                        d, reduce=False)
         if _is_one(d):
-            return Rat(poly_add(a, poly_mul(c, b)), b, reduce=False)
+            return Rat(keys, _add(a, poly_mul(c, b)), b, reduce=False)
         g = poly_gcd(b, d)
         if _is_one(g):
-            return Rat(poly_add(poly_mul(a, d), poly_mul(c, b)),
+            return Rat(keys, _add(poly_mul(a, d), poly_mul(c, b)),
                        poly_mul(b, d), reduce=False)
-        b, d = poly_div_exact(b, g), poly_div_exact(d, g)
-        t = poly_add(poly_mul(a, d), poly_mul(c, b))
+        b, d = _exact(b, g), _exact(d, g)
+        t = _add(poly_mul(a, d), poly_mul(c, b))
         # only a factor of g can divide t; it cancels against d·g
         g2 = poly_gcd(t, g)
         if not _is_one(g2):
-            t, g = poly_div_exact(t, g2), poly_div_exact(g, g2)
-        return Rat(t, poly_mul(b, poly_mul(d, g) if not _is_one(g) else d),
+            t, g = _exact(t, g2), _exact(g, g2)
+        return Rat(keys, t,
+                   poly_mul(b, poly_mul(d, g) if not _is_one(g) else d),
                    reduce=False)
 
     def __neg__(self) -> "Rat":
-        return Rat(poly_neg(self.num), self.den, reduce=False)
+        return Rat(self.keys, _neg(self.num), self.den, reduce=False)
 
     def __sub__(self, other: "Rat") -> "Rat":
         return self + (-other)
 
     def __mul__(self, other: "Rat") -> "Rat":
-        return _rat_mul(self.num, self.den, other.num, other.den)
+        return _rat_mul(*_align(self, other))
 
     def __truediv__(self, other: "Rat") -> "Rat":
-        if other.is_zero():
+        if not other.num:
             raise ZeroDivisionError("division by a zero expression")
-        num, den = _normal_sign(other.den, other.num)
-        return _rat_mul(self.num, self.den, num, den)
+        keys, a, b, c, d = _align(self, other)
+        num, den = _normal_sign(d, c)
+        return _rat_mul(keys, a, b, num, den)
 
     def __pow__(self, n: int) -> "Rat":
         if n == 0:
             return Rat.const(1)
         if n < 0:
-            if self.is_zero():
+            if not self.num:
                 raise ZeroDivisionError("zero raised to a negative power")
-            num, den = _normal_sign(poly_pow(self.den, -n),
-                                    poly_pow(self.num, -n))
-            return Rat(num, den, reduce=False)
-        return Rat(poly_pow(self.num, n), poly_pow(self.den, n), reduce=False)
+            num, den = _normal_sign(_pow(self.den, -n), _pow(self.num, -n))
+            return Rat(self.keys, num, den, reduce=False)
+        return Rat(self.keys, _pow(self.num, n), _pow(self.den, n),
+                   reduce=False)
 
 
-def _rat_mul(a: Poly, b: Poly, c: Poly, d: Poly) -> Rat:
+def _over(r: Rat, keys: tuple) -> Tuple[Poly, Poly]:
+    """r's numerator and denominator over ``keys``, a superset of r's."""
+    if r.keys == keys:
+        return r.num, r.den
+    return _reindex(r.keys, keys, r.num, r.den)
+
+
+def _align(r: Rat, s: Rat):
+    """The joint keys of r and s, then both forms over them."""
+    if r.keys == s.keys:
+        return r.keys, r.num, r.den, s.num, s.den
+    keys = tuple(sorted({*r.keys, *s.keys}))
+    return (keys, *_over(r, keys), *_over(s, keys))
+
+
+def _rat_mul(keys: tuple, a: Poly, b: Poly, c: Poly, d: Poly) -> Rat:
     """(a/b)·(c/d) for reduced forms, cancelling across the two fractions."""
     if not a or not c:
         return Rat.const(0)
     if not _is_one(d):
         g = poly_gcd(a, d)
         if not _is_one(g):
-            a, d = poly_div_exact(a, g), poly_div_exact(d, g)
+            a, d = _exact(a, g), _exact(d, g)
     if not _is_one(b):
         g = poly_gcd(c, b)
         if not _is_one(g):
-            c, b = poly_div_exact(c, g), poly_div_exact(b, g)
+            c, b = _exact(c, g), _exact(b, g)
     den = d if _is_one(b) else b if _is_one(d) else poly_mul(b, d)
-    return Rat(poly_mul(a, c), den, reduce=False)
+    return Rat(keys, poly_mul(a, c), den, reduce=False)
 
 
-def poly_diff(p: Poly, key: tuple) -> Poly:
-    """Partial derivative of a polynomial in key."""
-    out: Poly = {}
-    for m, c in p.items():
-        e = dict(m).get(key, 0)
-        if e:
-            out[tuple((k, ke - 1 if k == key else ke) for k, ke in m
-                      if k != key or ke > 1)] = c * e
-    return out
+def _diff(p: Poly, i: int) -> Poly:
+    """Partial derivative of p in its variable i."""
+    return {(v[0] - 1,) + v[1:i] + (v[i] - 1,) + v[i + 1:]: c * v[i]
+            for v, c in p.items() if v[i]}
 
 
 def rat_diff(r: Rat, key: tuple) -> Rat:
     """∂(N/D)/∂key = (∂N·(D/g) − N·(∂D/g)) / (D·D/g) with g = gcd(D, ∂D)
     (Geddes, Czapor & Labahn, Algorithms for Computer Algebra, ch. 2)."""
-    dn, dd = poly_diff(r.num, key), poly_diff(r.den, key)
+    if key not in r.keys:
+        return Rat.const(0)
+    i = r.keys.index(key) + 1
+    dn, dd = _diff(r.num, i), _diff(r.den, i)
     if not dd:
-        return Rat(dn, r.den)
+        return Rat(r.keys, dn, r.den)
     g = poly_gcd(r.den, dd)
-    dg = poly_div_exact(r.den, g)
-    num = poly_sub(poly_mul(dn, dg), poly_mul(r.num, poly_div_exact(dd, g)))
-    return Rat(num, poly_mul(r.den, dg))
+    dg = _exact(r.den, g)
+    num = _sub(poly_mul(dn, dg), poly_mul(r.num, _exact(dd, g)))
+    return Rat(r.keys, num, poly_mul(r.den, dg))
 
 
-def rat_integrate(r: Rat, key: tuple) -> Rat:
-    """Antiderivative in key of a rational form whose denominator is free
-    of key, constant of integration zero."""
-    terms = []
-    for m, c in r.num.items():
-        e = 0
-        rest = []
-        for k, ke in m:
-            if k == key:
-                e = ke
-            else:
-                rest.append((k, ke))
-        terms.append((tuple(sorted(rest + [(key, e + 1)])), c, e + 1))
+def rat_integrate(r: Rat, key: tuple) -> Optional[Rat]:
+    """Antiderivative in key, constant of integration zero; None when the
+    denominator contains key."""
+    keys = tuple(sorted({*r.keys, key}))
+    i = keys.index(key) + 1
+    num, den = _over(r, keys)
+    if any(v[i] for v in den):
+        return None
+    terms = [((v[0] + 1,) + v[1:i] + (v[i] + 1,) + v[i + 1:], c, v[i] + 1)
+             for v, c in num.items()]
     scale = lcm(*(k for _, _, k in terms))
-    return Rat({m: c * (scale // k) for m, c, k in terms},
-               {m: c * scale for m, c in r.den.items()})
+    return Rat(keys, {v: c * (scale // k) for v, c, k in terms},
+               _times(den, scale))
 
 
-def poly_at(p: Poly, images: Dict[tuple, Rat]) -> Rat:
-    """p with every key of ``images`` replaced by its image."""
+def poly_at(p: Poly, keys: tuple, images: Dict[tuple, Rat]) -> Rat:
+    """p, over ``keys``, with every key of ``images`` replaced by its
+    image."""
+    kept = tuple(k for k in keys if k not in images)
+    at = [i for i, k in enumerate(keys, 1) if k not in images]
+    moved = [(i, images[k]) for i, k in enumerate(keys, 1) if k in images]
+    one = {(0,) * (len(kept) + 1): 1}
     out = Rat.const(0)
-    for m, c in p.items():
-        term = Rat({tuple(kv for kv in m if kv[0] not in images): c},
-                   {MONO_ONE: 1}, reduce=False)
-        for k, e in m:
-            if k in images:
-                term = term * images[k] ** e
+    for v, c in p.items():
+        rest = [v[i] for i in at]
+        term = Rat(kept, {(sum(rest), *rest): c}, one, reduce=False)
+        for i, image in moved:
+            if v[i]:
+                term = term * image ** v[i]
         out = out + term
     return out

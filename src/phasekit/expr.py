@@ -18,6 +18,7 @@ numbers come from the same path as theirs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
@@ -232,23 +233,16 @@ def _term_tree(coeff: Fraction, mono_pairs) -> PhaseExpr:
     return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
 
-def _poly_tree(p, scale, den_mono=()) -> PhaseExpr:
-    # exponent vectors are distinct and sort in mono_cmp's order
-    _, (packed,) = _poly._pack(p)
+def _poly_tree(p, keys, scale, den=(0,)) -> PhaseExpr:
+    """p's terms over ``keys``, divided by ``scale`` and by the monomial
+    with exponent vector ``den``; tuple order on exponent vectors is the
+    graded lexicographic order."""
     terms = []
-    for _, (m, c) in sorted(zip(packed, p.items()), reverse=True):
-        if den_mono:
-            exps = dict(m)
-            for k, e in den_mono:
-                ne = exps.get(k, 0) - e
-                if ne:
-                    exps[k] = ne
-                else:
-                    exps.pop(k, None)
-            pairs = tuple(sorted(exps.items()))
-        else:
-            pairs = m
-        terms.append(_term_tree(Fraction(c, scale), pairs))
+    for v, c in sorted(p.items(), reverse=True):
+        if den[0]:
+            v = tuple(map(operator.sub, v, den))
+        terms.append(_term_tree(Fraction(c, scale),
+                                [(k, e) for k, e in zip(keys, v[1:]) if e]))
     if not terms:
         return Num(Fraction(0))
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
@@ -261,12 +255,12 @@ def from_rat(r: Rat) -> PhaseExpr:
     divided by the denominator's leading coefficient, and a one-term
     denominator folds into Laurent exponents of the numerator.
     """
-    _, lc = _poly.leading(r.den)
+    lead = max(r.den)
+    lc = r.den[lead]
     if len(r.den) == 1:
-        (dm, _), = r.den.items()
-        node = _poly_tree(r.num, lc, den_mono=dm)
+        node = _poly_tree(r.num, r.keys, lc, lead)
     else:
-        node = Div(_poly_tree(r.num, lc), _poly_tree(r.den, lc))
+        node = Div(_poly_tree(r.num, r.keys, lc), _poly_tree(r.den, r.keys, lc))
     object.__setattr__(node, "_rat", r)
     return node
 
@@ -336,7 +330,7 @@ def diff(e: PhaseExpr, v, registry: "AtomRegistry | None" = None) -> PhaseExpr:
     r = to_rat(e)
     target = _sym_key(v) if isinstance(v, Atom) else (0, v)
     out = Rat.const(Fraction(0))
-    for key in _poly.poly_vars(r.num) | _poly.poly_vars(r.den):
+    for key in r.keys:
         if key == target:
             out = out + _poly.rat_diff(r, key)
         elif key[0] == 1 and key[3] == v:
@@ -359,11 +353,10 @@ def antiderivative(e: PhaseExpr, var: str) -> Optional[PhaseExpr]:
     coefficient atom is applied at ``var``: no closed form is attempted.
     """
     r = to_rat(e)
-    den_keys = _poly.poly_vars(r.den)
-    if (0, var) in den_keys or any(k[0] == 1 and k[3] == var
-                                   for k in _poly.poly_vars(r.num) | den_keys):
+    if any(k[0] == 1 and k[3] == var for k in r.keys):
         return None
-    return from_rat(_poly.rat_integrate(r, (0, var)))
+    out = _poly.rat_integrate(r, (0, var))
+    return None if out is None else from_rat(out)
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +376,7 @@ def subst(e: PhaseExpr, mapping: Mapping[str, "PhaseExpr | Number"]) -> PhaseExp
     m = {k: as_expr(v) for k, v in mapping.items()}
     r = to_rat(e)
     images: Dict[tuple, Rat] = {}
-    for key in _poly.poly_vars(r.num) | _poly.poly_vars(r.den):
+    for key in r.keys:
         if key[0] == 0 and key[1] in m:
             images[key] = to_rat(m[key[1]])
         elif key[0] == 1 and key[3] in m:
@@ -396,10 +389,10 @@ def subst(e: PhaseExpr, mapping: Mapping[str, "PhaseExpr | Number"]) -> PhaseExp
             images[key] = Rat.symbol(key[:3] + (target.name,))
     if not images:
         return simplify(e)
-    den = _poly.poly_at(r.den, images)
+    den = _poly.poly_at(r.den, r.keys, images)
     if den.is_zero():
         raise ExprError("division by a zero expression")
-    return from_rat(_poly.poly_at(r.num, images) / den)
+    return from_rat(_poly.poly_at(r.num, r.keys, images) / den)
 
 
 def solve_linear(equation: PhaseExpr, v: str
@@ -580,6 +573,9 @@ class AtomRegistry:
 
 # the characters of a code string made of float literals and operators alone
 _LITERAL = frozenset("0123456789.e+-*/() ")
+# operands per generated sum or product: CPython's compiler recurses once per
+# binary operator, so a longer chain is cut into assignments
+_CHAIN = 256
 
 
 def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
@@ -597,8 +593,10 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
     factor g_k with ``t`` bound to the atom's argument, times ``exp`` of its
     exponent when that is not zero, the exp under a name of its own; any
     other profile is called.  Every operation gets its own assignment, so
-    deep trees never meet the parser's nesting limit, and equal code gets
-    one name (each name is assigned once, so equal code is an equal float).
+    deep trees never meet the parser's nesting limit, a sum or product of
+    more than ``_CHAIN`` operands is cut into assignments of at most that
+    many, left to right, and equal code gets one name (each name is
+    assigned once, so equal code is an equal float).
     Code of literals alone is written as its value if that is a finite
     float, and stays to fail at run time if not; nothing else is folded (a
     product by a literal zero stays: dropping it can flip a zero's sign).
@@ -655,14 +653,22 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
                 lines.append(f"    {numbered[code]} = {code}\n")
         return numbered[code]
 
+    def chain(op: str, operands: List[str]) -> str:
+        # past _CHAIN operands, the chain goes on from the name of its first
+        # _CHAIN, which keeps Python's left-to-right association
+        while len(operands) > _CHAIN:
+            operands = [assign(op.join(operands[:_CHAIN])),
+                        *operands[_CHAIN:]]
+        return op.join(operands)
+
     def tangents(terms: Dict[int, List[str]]) -> Dict[int, str]:
         # one sum per input; a lone name needs no assignment of its own
         return {j: ts[0] if len(ts) == 1 and " " not in ts[0]
-                else assign(" + ".join(ts)) for j, ts in terms.items()}
+                else assign(chain(" + ", ts)) for j, ts in terms.items()}
 
     def times(*factors: str) -> str:
         # a product; the seed tangent 1.0 is left out
-        return " * ".join(f for f in factors if f != "1.0") or "1.0"
+        return chain(" * ", [f for f in factors if f != "1.0"]) or "1.0"
 
     def profile(e: Atom) -> str:
         if registry is None:
@@ -709,7 +715,7 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
                     # a product's tangent is Σ_k (Π_{l≠k} f_l)·f_k'
                     terms.setdefault(j, []).append(
                         dv if add else times(*names[:k], *names[k + 1:], dv))
-            value = assign((" + " if add else " * ").join(names)
+            value = assign(chain(" + " if add else " * ", names)
                            or ("0.0" if add else "1.0"))
             return value, tangents(terms)
         if isinstance(e, Pow):
@@ -854,11 +860,17 @@ def _tokenize(text: str):
     return tokens
 
 
+# levels of parentheses and unary minus that parsed text may nest; deeper
+# text would exhaust Python's recursion limit here or in a later recursion
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, variables, atom_names):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.variables = set(variables)
         self.atom_names = set(atom_names)
 
@@ -875,6 +887,15 @@ class _Parser:
         if kind != "op" or text != op:
             raise ParseError(f"expected '{op}'", pos)
         return self.advance()
+
+    def nested(self, rule: Callable, pos: int):
+        """``rule()`` one level deeper, for the opener at ``pos``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nests too deeply", pos)
+        out = rule()
+        self.depth -= 1
+        return out
 
     def parse(self) -> PhaseExpr:
         e = self.sum()
@@ -910,10 +931,10 @@ class _Parser:
         return out
 
     def unary(self) -> PhaseExpr:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Mul((Num(Fraction(-1)), self.unary()))
+            return Mul((Num(Fraction(-1)), self.nested(self.unary, pos)))
         return self.power()
 
     def power(self) -> PhaseExpr:
@@ -931,7 +952,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "op" and text == "(":
             self.advance()
-            value = self.exponent()
+            value = self.nested(self.exponent, pos)
             self.expect_op(")")
             return value
         sign = 1
@@ -949,7 +970,7 @@ class _Parser:
         if kind == "num":
             return Num(Fraction(text))
         if kind == "op" and text == "(":
-            e = self.sum()
+            e = self.nested(self.sum, pos)
             self.expect_op(")")
             return e
         if kind == "ident":

@@ -303,6 +303,17 @@ def test_degenerate_profile_expression_exits_2(tmp_path, capsys):
     assert "profiles.omega.expression: division by a zero expression" in out
 
 
+def test_deeply_nested_profile_expression_exits_2(tmp_path, capsys):
+    # 300 parentheses would exhaust the recursion limit of the parser
+    text = "(" * 300 + "t" + ")" * 300
+    path = write_config(tmp_path, "deep.yaml",
+                        {"profiles": {"omega": {"expression": text}}})
+    code, out = run_cli(capsys, "analyze", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == ("error: profiles.omega.expression: expression "
+                           "nests too deeply (offset 100) (column 100)")
+
+
 @pytest.mark.parametrize("section, key", [
     ("initial", "x1"), ("parameters", "m"), ("integrator", "abs_tol"),
 ])
@@ -1080,6 +1091,16 @@ def test_degenerate_transform_expression_exits_2(tmp_path, capsys, cfg,
                         "--out", str(tmp_path))
     assert code == 2
     assert out.strip() == f"error: {where}: division by a zero expression"
+
+
+def test_deeply_nested_transform_expression_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, "deep.yaml", {"transform": {
+        "a1": "-" * 1000 + "Q1", "a2": "Q2", "b": "T"}})
+    code, out = run_cli(capsys, "transform-check", str(path),
+                        "--out", str(tmp_path))
+    assert code == 2
+    assert out.strip() == ("error: transform: expression nests too deeply "
+                           "(offset 100)")
 
 
 @pytest.mark.parametrize("cfg, where", [

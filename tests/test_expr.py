@@ -36,7 +36,7 @@ from phasekit import (
     subst,
     sym,
 )
-from phasekit._poly import mono_cmp
+from phasekit._poly import poly_gcd, poly_mul
 from phasekit.expr import (Add, Atom, Div, ExprError, Mul, Num, Pow,
                            SubstitutionError, Sym, _atom_derivative,
                            _poly_tree, _term_tree, atoms_in, const_value,
@@ -242,6 +242,28 @@ raw_polys = st.dictionaries(_monos, st.integers(-9, 9).filter(bool),
                             max_size=10)
 
 
+def mono_cmp(a, b) -> int:
+    """Graded lexicographic order on sparse monomials, sorted tuples of
+    ``(key, exponent)`` pairs."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return -1 if da < db else 1
+    # equal degrees: the first differing pair decides, and a key that only
+    # one side has is an exponent the other side lacks
+    for (ka, ea), (kb, eb) in zip(a, b):
+        if ka != kb:
+            return 1 if ka < kb else -1
+        if ea != eb:
+            return -1 if ea < eb else 1
+    return 0
+
+
+def _vector(mono, keys):
+    exps = dict(mono)
+    row = [exps.get(k, 0) for k in keys]
+    return (sum(row), *row)
+
+
 @given(raw_polys, st.integers(1, 6))
 def test_poly_tree_orders_terms_as_mono_cmp(p, scale):
     # the reference sorts by the graded lexicographic comparison itself
@@ -250,7 +272,8 @@ def test_poly_tree_orders_terms_as_mono_cmp(p, scale):
     terms = [_term_tree(Fraction(c, scale), m) for m, c in items]
     expected = (Num(Fraction(0)) if not terms else terms[0]
                 if len(terms) == 1 else Add(tuple(terms)))
-    assert _poly_tree(p, scale) == expected
+    vectors = {_vector(m, _POLY_KEYS): c for m, c in p.items()}
+    assert _poly_tree(vectors, _POLY_KEYS, scale) == expected
 
 
 # f carries a registered rule, w does not, and atoms of order 1 never do
@@ -335,6 +358,53 @@ def test_attached_rat_leaves_equality_hash_and_replace_alone():
     assert "_rat" not in vars(bare)
     assert to_rat(bare) == to_rat(node)
     assert {node: 1}[bare] == 1
+
+
+@given(atom_exprs())
+def test_normal_form_keys_are_sorted_and_all_occur(e):
+    try:
+        r = to_rat(e)
+    except ExprError:
+        assume(False)
+    assert r.keys == tuple(sorted(set(r.keys)))
+    for i in range(1, len(r.keys) + 1):
+        assert any(v[i] for v in (*r.num, *r.den))
+
+
+@pytest.mark.parametrize("tree, reduced", [
+    (Add((sym("x"), sym("y"), Mul((num(-1), sym("y"))))), sym("x")),
+    (Div(Mul((sym("x"), sym("y"))), sym("y")), sym("x")),
+    (Add((Pow(Add((sym("x"), sym("y"))), 2), Mul((num(-1), Pow(sym("y"), 2))),
+          Mul((num(-2), sym("x"), sym("y"))))), Pow(sym("x"), 2)),
+])
+def test_cancelled_variables_leave_the_keys(tree, reduced):
+    r, expected = to_rat(tree), to_rat(reduced)
+    assert r.keys == ((0, "x"),)
+    assert r == expected and hash(r) == hash(expected)
+
+
+_pairs = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         st.integers(-9, 9).filter(bool), min_size=1,
+                         max_size=4)
+
+
+def _as_vectors(p, zero_column):
+    """Exponent pairs as vectors over two keys, or over three keys with a
+    middle key that no term has."""
+    if zero_column:
+        return {(a + b, a, 0, b): c for (a, b), c in p.items()}
+    return {(a + b, a, b): c for (a, b), c in p.items()}
+
+
+@given(_pairs, _pairs, _pairs)
+def test_poly_gcd_ignores_an_all_zero_column(a, b, common):
+    def gcd_of(zero_column):
+        c = _as_vectors(common, zero_column)
+        return poly_gcd(poly_mul(_as_vectors(a, zero_column), c),
+                        poly_mul(_as_vectors(b, zero_column), c))
+    wide = gcd_of(True)
+    assert all(not v[2] for v in wide)
+    assert {(d, x, y): c for (d, x, _, y), c in wide.items()} == gcd_of(False)
 
 
 def test_canonical_node_survives_pickle():
@@ -457,11 +527,11 @@ def rational_exprs(draw, depth=0):
         else Div(a, b)
 
 
-def _poly_at(poly, point) -> Fraction:
+def _poly_at(poly, keys, point) -> Fraction:
     total = Fraction(0)
-    for mono, coeff in poly.items():
+    for vector, coeff in poly.items():
         term = Fraction(coeff)
-        for (_, name), exp in mono:
+        for (_, name), exp in zip(keys, vector[1:]):
             term *= point[name] ** exp
         total += term
     return total
@@ -477,9 +547,9 @@ def test_eval_expr_matches_exact_rational_value(e, point):
         r = to_rat(e)
     except ExprError:
         assume(False)
-    den = _poly_at(r.den, point)
+    den = _poly_at(r.den, r.keys, point)
     assume(den != 0)
-    exact = float(_poly_at(r.num, point) / den)
+    exact = float(_poly_at(r.num, r.keys, point) / den)
     try:
         value = eval_expr(e, {k: float(v) for k, v in point.items()})
     except NonFiniteError:
@@ -538,6 +608,30 @@ def test_lower_refuses_to_differentiate_an_atom():
     g = atom("g", "t")
     with pytest.raises(EvalError, match="cannot be differentiated"):
         lower([Mul((g, sym("x")))], ("x", g), time_var=None, wrt=("x",))
+
+
+def test_lower_cuts_wide_chains_without_changing_a_bit():
+    # one line of 5000 operands would exhaust the compiler's recursion; the
+    # cut keeps Python's left-to-right order, so every float is the same
+    inputs = [f"v{i}" for i in range(5000)]
+    y = [1.0 + math.sin(i) / 64 for i in range(5000)]
+    operands = tuple(map(sym, inputs))
+    total, product = 0.0, 1.0
+    for v in y:
+        total += v
+        product *= v
+    f = lower([Add(operands), Mul(operands)], inputs, time_var=None)
+    assert f(None, y) == (total, product)
+
+
+def test_lower_differentiates_a_polynomial_of_3321_terms():
+    e = simplify(expr_of("(x + y + 1)^80"))
+    assert len(e.terms) == 3321
+    f = lower([e], ("x", "y"), time_var=None, wrt=("x", "y"))
+    value, dx, dy = f(None, [0.001, 0.002])
+    assert value == pytest.approx(1.003 ** 80, rel=1e-12)
+    slope = pytest.approx(80 * 1.003 ** 79, rel=1e-12)
+    assert dx == slope and dy == slope
 
 
 @given(rational_exprs(), st.fixed_dictionaries(

@@ -52,15 +52,26 @@ def trees(draw, depth=0):
         else Div(a, b)
 
 
-def sympy_poly(p):
+def vec(p):
+    """A poly of ``(key, exponent)`` monomials as exponent vectors over
+    KEYS, the format of phasekit's polynomials."""
+    out = {}
+    for m, c in p.items():
+        exps = dict(m)
+        row = [exps.get(k, 0) for k in KEYS]
+        out[(sum(row), *row)] = c
+    return out
+
+
+def sympy_poly(p, keys=KEYS):
     return sympy.Add(*(
         sympy.Rational(c.numerator, c.denominator)
-        * sympy.Mul(*(SYMBOLS[key[1]] ** e for key, e in m))
-        for m, c in p.items()))
+        * sympy.Mul(*(SYMBOLS[key[1]] ** e for key, e in zip(keys, v[1:])))
+        for v, c in p.items()))
 
 
 def sympy_rat(r):
-    return sympy_poly(r.num) / sympy_poly(r.den)
+    return sympy_poly(r.num, r.keys) / sympy_poly(r.den, r.keys)
 
 
 def sympy_tree(e):
@@ -81,7 +92,7 @@ def sympy_tree(e):
 def assert_reduced_form_of(r, expected):
     """r is expected in lowest terms: equal value, equal degrees."""
     num, den = sympy.fraction(sympy.cancel(expected))
-    ours = sympy_poly(r.num), sympy_poly(r.den)
+    ours = sympy_poly(r.num, r.keys), sympy_poly(r.den, r.keys)
     assert sympy.expand(ours[0] * den - num * ours[1]) == 0
     for mine, theirs in zip(ours, (num, den)):
         for s in SYMBOLS.values():
@@ -102,7 +113,8 @@ def times(p, k):
 def test_rat_diff_matches_sympy_diff(num, den, q, s, key, k):
     # a term q/s free of key puts factors into the denominator that the
     # derivative must cancel again; k gives the denominator integer content
-    r = Rat(num, times(den, k)) + Rat(free_of(q, key), free_of(s, key))
+    r = Rat(KEYS, vec(num), vec(times(den, k))) + \
+        Rat(KEYS, vec(free_of(q, key)), vec(free_of(s, key)))
     d = rat_diff(r, key)
     assert_reduced_form_of(d, sympy.diff(sympy_rat(r), SYMBOLS[key[1]]))
 
@@ -111,8 +123,8 @@ def test_rat_diff_matches_sympy_diff(num, den, q, s, key, k):
 @given(polys, polys, polys, st.integers(2, 12))
 def test_poly_gcd_matches_sympy_gcd(a, b, common, k):
     # a shared factor makes most gcds nontrivial, k an integer content
-    common = times(common, k)
-    a, b = poly_mul(a, common), poly_mul(b, common)
+    common = vec(times(common, k))
+    a, b = poly_mul(vec(a), common), poly_mul(vec(b), common)
     ours = sympy_poly(poly_gcd(a, b))
     theirs = sympy.gcd(sympy_poly(a), sympy_poly(b))
     ratio = sympy.cancel(ours / theirs)
@@ -126,7 +138,7 @@ def test_poly_gcd_evaluates_beyond_the_root_bound():
     x = KEYS[0]
     a = {((x, 3),): 1, ((x, 2),): -2, ((x, 1),): 3, (): -2}
     b = {(): 1, ((x, 1),): -1}
-    assert poly_gcd(a, b) == {((x, 1),): 1, (): -1}
+    assert poly_gcd(vec(a), vec(b)) == vec({((x, 1),): 1, (): -1})
 
 
 @settings(max_examples=30)
@@ -136,8 +148,8 @@ def test_poly_gcd_past_the_heuristic_size_limit_matches_sympy(a, b, common,
     # coprime factors of some 16000 bits put the heuristic's images past its
     # size limit, so the subresultant PRS decides these gcds; over Q they
     # change the gcd by a constant only
-    common = times(common, k)
-    a, b = poly_mul(a, common), poly_mul(b, common)
+    common = vec(times(common, k))
+    a, b = poly_mul(vec(a), common), poly_mul(vec(b), common)
     ours = sympy_poly(poly_gcd(times(a, 2 ** 16001), times(b, 3 ** 10100)))
     theirs = sympy.gcd(sympy_poly(a), sympy_poly(b))
     ratio = sympy.cancel(ours / theirs)
@@ -173,7 +185,7 @@ def assert_canonical(r):
     """Integer coefficients, coprime over ℤ, positive leading denominator
     coefficient in the graded lexicographic order x > y > z."""
     assert all(type(c) is int for c in (*r.num.values(), *r.den.values()))
-    num, den = sympy_poly(r.num), sympy_poly(r.den)
+    num, den = sympy_poly(r.num, r.keys), sympy_poly(r.den, r.keys)
     assert sympy.gcd(num, den) in (1, -1)
     assert sympy.Poly(den, *SYMBOLS.values()).LC(order="grlex") > 0
 
