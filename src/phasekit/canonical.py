@@ -12,16 +12,16 @@ shifts D1(Q1,T), D2(Q2,T); ``complete`` derives the remaining pieces
 construction.  The Q-integrals are done symbolically whenever the integrand
 is polynomial in the integration variable; otherwise the p_tau component
 carries quadrature terms.  The maps and their Jacobian are evaluated by one
-lowered jet per transform, from forward differentiation (``lower(wrt=)``):
-no symbolic partial is built for the Jacobian or the sampling gates.
+lowered jet per transform, from forward differentiation (``lower(wrt=)``);
+the sampling gates, the symplectic defect and the seven-equation residuals
+all read that Jacobian, and no symbolic partial is built for any of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,8 +128,9 @@ Component = Union[PhaseExpr, ComponentMap]
 class Transform:
     """Six maps from the new chart (Q1,Q2,T,P1,P2,P_T) to the extended one.
 
-    Residual and Jacobian checks derive everything from ``maps``, so that
-    transforms corrupted via ``dataclasses.replace`` are diagnosed honestly.
+    The Jacobian, and with it the defect and residual checks, derives
+    everything from ``maps``, so that transforms corrupted via
+    ``dataclasses.replace`` are diagnosed honestly.
 
     ``chain`` is set only by ``compose``: a composed transform has no maps
     of its own, and evaluation, Jacobians and sampling gates go through the
@@ -138,11 +139,9 @@ class Transform:
 
     maps: Dict[str, Component]
     chain: Optional[Tuple["Transform", "Transform"]] = None
-    # lowered evaluators, built on first use (see ``_jet``)
+    # the lowered jet, built on first use (see ``_jet``)
     _partials: Optional["_Lowered"] = field(default=None, init=False,
                                             repr=False, compare=False)
-    _residuals: Optional[Callable] = field(default=None, init=False,
-                                           repr=False, compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -204,20 +203,8 @@ def complete(spec: TransformSpec) -> Transform:
 
 
 # --------------------------------------------------------------------------
-# component calculus
+# the lowered jet
 # --------------------------------------------------------------------------
-
-def component_partial(component: Component, variable: str) -> PhaseExpr:
-    """Exact partial by a Q or P variable (T-partials come from the jet)."""
-    if isinstance(component, PhaseExpr):
-        return diff(component, variable)
-    extra = diff(component.base, variable)
-    for term in component.quads:
-        if variable == term.var:
-            # fundamental theorem: d/dQ of the integral is the integrand
-            extra = extra + term.prefactor * term.integrand
-    return simplify(extra)
-
 
 class _Lowered:
     """The six maps of a transform and their Jacobian, lowered once.
@@ -392,62 +379,39 @@ def _passes_gates(tr: Transform, point: Mapping[str, float]) -> bool:
 # the seven-equation residuals
 # --------------------------------------------------------------------------
 
-def _residual_components(tr: Transform) -> Tuple[Component, ...]:
+def ode_residuals(tr: Transform, point: Mapping[str, float]
+                  ) -> Tuple[float, ...]:
+    """Residuals of the seven defining equations at one state; overflow
+    raises FloatingPointError.
+
+    Every partial is read from the transform's Jacobian, so edits made
+    after ``complete`` (corruption probes included) show up here.
+    """
     if tr.chain is not None:
         raise CanonicalError(
             "the seven-equation residuals need canonical-form maps; a "
             "composed transform has no maps of its own, check "
             "symplectic_defect instead"
         )
-    a1 = tr.maps["x1_tau"]
-    a2 = tr.maps["x2_tau"]
-    b = tr.maps["t_tau"]
-    pm1 = tr.maps["p1_tau"]
-    pm2 = tr.maps["p2_tau"]
-    f = tr.maps["p_tau"]
-    for name, comp in (("x1_tau", a1), ("x2_tau", a2), ("t_tau", b),
-                       ("p1_tau", pm1), ("p2_tau", pm2)):
-        if not isinstance(comp, PhaseExpr):
-            raise CanonicalError(
-                f"component {name} carries quadrature terms; residuals are "
-                "defined for expression-backed maps"
-            )
-
-    a1p, a1t = diff(a1, "Q1"), diff(a1, "T")
-    a2p, a2t = diff(a2, "Q2"), diff(a2, "T")
-    bt = diff(b, "T")
-    # the equations split p_i = c_i P_i + d_i with c_i = dp_i/dP_i; for any
-    # map c_i' P_i + d_i' = dp_i/dQ_i and c_i-dot P_i + d_i-dot = dp_i/dT
-    pm1p, pm1q, pm1t = diff(pm1, "P1"), diff(pm1, "Q1"), diff(pm1, "T")
-    pm2p, pm2q, pm2t = diff(pm2, "P2"), diff(pm2, "Q2"), diff(pm2, "T")
-
-    # F enters only through its Q/P partials, which are expression-backed
-    # even when F itself needs quadrature
-    f_q1, f_q2, f_p1, f_p2, f_pt = (component_partial(f, v) for v in
-                                    ("Q1", "Q2", "P1", "P2", "P_T"))
-
-    return (
-        simplify(a1t * pm1q + bt * f_q1 - pm1t * a1p),
-        simplify(a2t * pm2q + bt * f_q2 - pm2t * a2p),
-        simplify(pm1p * a1t + bt * f_p1),
-        simplify(pm2p * a2t + bt * f_p2),
-        simplify(bt * f_pt - num(1)),
-        simplify(pm1p * a1p - num(1)),
-        simplify(pm2p * a2p - num(1)),
-    )
-
-
-def ode_residuals(tr: Transform, point: Mapping[str, float]
-                  ) -> Tuple[float, ...]:
-    """Residuals of the seven defining equations at one state.
-
-    All pieces are re-derived from the transform's actual maps, so edits
-    made after ``complete`` (corruption probes included) show up here.
-    """
-    if tr._residuals is None:
-        tr._residuals = lower(_residual_components(tr), NEW_VARS,
-                              time_var=None)
-    return _finite(tr._residuals, None, [float(point[v]) for v in NEW_VARS])
+    # rows (x1, x2, t, p1, p2, p_tau), columns (Q1, Q2, T, P1, P2, P_T)
+    m = jacobian(tr, point)
+    a1p, _, a1t, _, _, _ = m[0]
+    _, a2p, a2t, _, _, _ = m[1]
+    bt = m[2, 2]
+    p1q, _, p1t, p1p, _, _ = m[3]
+    _, p2q, p2t, _, p2p, _ = m[4]
+    f_q1, f_q2, _, f_p1, f_p2, f_pt = m[5]
+    with np.errstate(over="raise", invalid="raise"):
+        residuals = np.array([
+            a1t * p1q + bt * f_q1 - p1t * a1p,
+            a2t * p2q + bt * f_q2 - p2t * a2p,
+            p1p * a1t + bt * f_p1,
+            p2p * a2t + bt * f_p2,
+            bt * f_pt - 1.0,
+            p1p * a1p - 1.0,
+            p2p * a2p - 1.0,
+        ])
+    return tuple(residuals.tolist())
 
 
 # --------------------------------------------------------------------------

@@ -199,15 +199,11 @@ def to_rat(e: PhaseExpr) -> Rat:
     if isinstance(e, (Sym, Atom)):
         return Rat.symbol(_sym_key(e))
     if isinstance(e, Add):
-        out = Rat.const(Fraction(0))
-        for t in e.terms:
-            out = out + to_rat(t)
-        return out
+        terms = [to_rat(t) for t in e.terms] or [Rat.const(0)]
+        return sum(terms[1:], terms[0])
     if isinstance(e, Mul):
-        out = Rat.const(Fraction(1))
-        for f in e.factors:
-            out = out * to_rat(f)
-        return out
+        factors = [to_rat(f) for f in e.factors] or [Rat.const(1)]
+        return math.prod(factors[1:], start=factors[0])
     if isinstance(e, Pow):
         try:
             return to_rat(e.base) ** e.exp

@@ -15,7 +15,8 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from phasekit import ExprProfile, Profile, dynamics, num, oscillator_registry
+from phasekit import (ExprProfile, NEW_CHART, Profile, dynamics, num,
+                      oscillator_registry, parse)
 
 # criterion number -> (passed, detail), filled by test_acceptance.py
 ACCEPTANCE: Dict[int, Tuple[bool, str]] = {}
@@ -140,3 +141,17 @@ def random_spec_texts(rng) -> Dict[str, str]:
         "d1": shift("Q1"),
         "d2": shift("Q2"),
     }
+
+
+# monomials for hand-written overrides of one map component: polynomial
+# ones, and two quotients whose denominators stay positive on the box
+OVERRIDE_TERMS = ("1", "Q1", "Q2", "T", "P1", "P2", "P_T", "Q1*P1", "T*P2",
+                  "Q2^2*P2", "T^2*P1", "P1^2", "P1/(2 + T^2)",
+                  "Q1/(1 + Q1^2)")
+
+
+def override_of(terms):
+    """Σ c·m over (integer c, OVERRIDE_TERMS entry m) pairs, parsed over the
+    new chart."""
+    text = " + ".join(f"({c})*{m}" for c, m in terms)
+    return parse(text, NEW_CHART.variables)

@@ -31,7 +31,7 @@ from phasekit import (
     sym,
 )
 
-from _support import random_spec_texts
+from _support import OVERRIDE_TERMS, override_of, random_spec_texts
 
 NEW_VARS = NEW_CHART.variables
 OLD = ("x1_tau", "x2_tau", "t_tau", "p1_tau", "p2_tau", "p_tau")
@@ -164,12 +164,13 @@ def test_sampling_and_defect_take_no_symbolic_partials(monkeypatch):
 
     for module in (expr, canonical):
         monkeypatch.setattr(module, "diff", counting)
+    # the residuals read the jet's Jacobian as well
     for tr in transforms:
-        symplectic_defect(tr, sample_states(tr, count=8))
+        points = sample_states(tr, count=8)
+        symplectic_defect(tr, points)
+        for point in points:
+            ode_residuals(tr, point)
     assert calls == []
-    # the counter sees the residuals' partials, which are still exact
-    ode_residuals(transforms[0], sample_states(transforms[0], count=1)[0])
-    assert calls
 
 
 def quadrature_transform():
@@ -229,7 +230,7 @@ def reference_residuals(tr):
     c2p, c2t = diff(c2, "Q2"), diff(c2, "T")
     d1p, d1t = diff(d1, "Q1"), diff(d1, "T")
     d2p, d2t = diff(d2, "Q2"), diff(d2, "T")
-    f_q1, f_q2, f_p1, f_p2, f_pt = (canonical.component_partial(f, v)
+    f_q1, f_q2, f_p1, f_p2, f_pt = (diff(f, v)
                                     for v in ("Q1", "Q2", "P1", "P2", "P_T"))
     return (
         simplify(a1t * (c1p * p1 + d1p) + bt * f_q1
@@ -244,11 +245,6 @@ def reference_residuals(tr):
     )
 
 
-OVERRIDE_TERMS = ("1", "Q1", "Q2", "T", "P1", "P2", "P_T", "Q1*P1", "T*P2",
-                  "Q2^2*P2", "T^2*P1", "P1^2", "P1/(2 + T^2)",
-                  "Q1/(1 + Q1^2)")
-
-
 @settings(max_examples=25)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        component=st.sampled_from(OLD + (None,)),
@@ -256,12 +252,31 @@ OVERRIDE_TERMS = ("1", "Q1", "Q2", "T", "P1", "P2", "P_T", "Q1*P1", "T*P2",
                                 st.sampled_from(OVERRIDE_TERMS)),
                       min_size=1, max_size=4))
 def test_residuals_match_the_split_momentum_form(seed, component, terms):
-    tr = complete(spec_of(**random_spec_texts(np.random.default_rng(seed))))
+    rng = np.random.default_rng(seed)
+    tr = complete(spec_of(**random_spec_texts(rng)))
     if component is not None:
-        text = " + ".join(f"({c})*{m}" for c, m in terms)
         tr = dataclasses.replace(
-            tr, maps={**tr.maps, component: parse(text, NEW_VARS)})
-    assert canonical._residual_components(tr) == reference_residuals(tr)
+            tr, maps={**tr.maps, component: override_of(terms)})
+    reference = lower(reference_residuals(tr), NEW_VARS, time_var=None)
+    # drawn directly, not through sample_states, whose gates refuse an
+    # override such as x1_tau = 0 over the whole box
+    for y in rng.uniform(-1.0, 1.0, size=(8, 6)).tolist():
+        try:
+            expected = reference(None, y)
+        except ZeroDivisionError:
+            continue
+        got = ode_residuals(tr, dict(zip(NEW_VARS, y)))
+        for r, e in zip(got, expected):
+            assert abs(r - e) <= 1e-9 * max(1.0, abs(e))
+
+
+def test_residual_overflow_raises():
+    # two partials near 10^160 multiply past the float range
+    tr = complete(spec_of(a1="10^160*Q1", a2="Q2", b="T"))
+    tr = dataclasses.replace(
+        tr, maps={**tr.maps, "p1_tau": parse("10^160*P1", NEW_VARS)})
+    with pytest.raises(FloatingPointError):
+        ode_residuals(tr, dict.fromkeys(NEW_VARS, 0.5))
 
 
 def test_determinant_is_unity():
@@ -274,10 +289,11 @@ def test_determinant_is_unity():
 # corruption must be detected, not absorbed
 # ---------------------------------------------------------------------------
 
-def test_corrupted_momentum_breaks_conformance():
+@pytest.mark.parametrize("component", OLD)
+def test_corrupted_component_breaks_conformance(component):
     tr = complete(spec_of(**POLY))
     bad = dict(tr.maps)
-    bad["p1_tau"] = simplify(num(2) * bad["p1_tau"])
+    bad[component] = simplify(num(2) * bad[component])
     broken = dataclasses.replace(tr, maps=bad)
     pts = sample_states(broken, count=8)
     assert symplectic_defect(broken, pts) > 1e-3

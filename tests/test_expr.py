@@ -36,7 +36,7 @@ from phasekit import (
     subst,
     sym,
 )
-from phasekit._poly import poly_gcd, poly_mul
+from phasekit._poly import Rat, poly_gcd, poly_mul
 from phasekit.expr import (Add, Atom, Div, ExprError, Mul, Num, Pow,
                            SubstitutionError, Sym, _atom_derivative,
                            _poly_tree, _term_tree, atoms_in, const_value,
@@ -381,6 +381,20 @@ def test_cancelled_variables_leave_the_keys(tree, reduced):
     r, expected = to_rat(tree), to_rat(reduced)
     assert r.keys == ((0, "x"),)
     assert r == expected and hash(r) == hash(expected)
+
+
+def test_to_rat_folds_from_the_first_operand(monkeypatch):
+    # a sum or product starts from its first operand's form, not from a
+    # constant 0 or 1 that the first operand is then combined with
+    built = []
+    real = Rat.const
+    monkeypatch.setattr(Rat, "const",
+                        staticmethod(lambda c: built.append(c) or real(c)))
+    r = to_rat(Add((Mul((sym("x"), sym("y"))), sym("z"))))
+    assert built == []
+    assert r == to_rat(expr_of("x*y + z"))
+    assert to_rat(Add(())) == real(0) and to_rat(Mul(())) == real(1)
+    assert built == [0, 1]
 
 
 _pairs = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),

@@ -1,19 +1,25 @@
 """Exact normal forms checked against sympy, an independent algebra system."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasekit import antiderivative, simplify, subst, sym
+from phasekit import (NEW_CHART, TransformSpec, antiderivative, complete,
+                      ode_residuals, sample_states, simplify, subst, sym)
 from phasekit._poly import Rat, poly_gcd, poly_mul, rat_diff
 from phasekit.brackets import _eliminate, _surface_map, _weakly_zero
+from phasekit.canonical import OLD_ORDER
 from phasekit.expr import (Add, Chart, Div, ExprError, Mul, Num, Pow, Sym,
                            to_rat)
+
+from _support import OVERRIDE_TERMS, override_of, random_spec_texts
 
 sympy = pytest.importorskip("sympy")
 
@@ -400,3 +406,40 @@ def test_weak_vanishing_matches_sympy_solve_and_cancel(system):
                             [sympy.Symbol(v) for v in solved], dict=True)
     assert len(solutions) == 1
     assert zero == (sympy.cancel(sympy_tree(target).subs(solutions[0])) == 0)
+
+
+# ---------------------------------------------------------------------------
+# the seven defining equations of a canonical transformation
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       component=st.sampled_from(OLD_ORDER),
+       terms=st.lists(st.tuples(st.integers(-3, 3),
+                                st.sampled_from(OVERRIDE_TERMS)),
+                      min_size=1, max_size=4))
+def test_ode_residuals_match_sympy_derivatives(seed, component, terms):
+    # a criterion-7 spec with one component overridden, at states that
+    # pass the completed spec's gates
+    tr = complete(TransformSpec.from_strings(
+        **random_spec_texts(np.random.default_rng(seed))))
+    states = sample_states(tr, count=4, seed=seed)
+    tr = dataclasses.replace(
+        tr, maps={**tr.maps, component: override_of(terms)})
+    q1, q2, t, p1, p2, pt = map(sympy.Symbol, NEW_CHART.variables)
+    a1, a2, b, pm1, pm2, f = (sympy_tree(tr.maps[n]) for n in OLD_ORDER)
+    d = sympy.diff
+    equations = (
+        d(a1, t) * d(pm1, q1) + d(b, t) * d(f, q1) - d(pm1, t) * d(a1, q1),
+        d(a2, t) * d(pm2, q2) + d(b, t) * d(f, q2) - d(pm2, t) * d(a2, q2),
+        d(pm1, p1) * d(a1, t) + d(b, t) * d(f, p1),
+        d(pm2, p2) * d(a2, t) + d(b, t) * d(f, p2),
+        d(b, t) * d(f, pt) - 1,
+        d(pm1, p1) * d(a1, q1) - 1,
+        d(pm2, p2) * d(a2, q2) - 1,
+    )
+    for state in states:
+        exact = {sympy.Symbol(v): sympy.Rational(x) for v, x in state.items()}
+        for ours, equation in zip(ode_residuals(tr, state), equations):
+            value = float(equation.xreplace(exact))
+            assert abs(ours - value) <= 1e-9 * max(1.0, abs(value))
