@@ -57,6 +57,7 @@ from .constraints import (
     LagrangianModel,
     LegendreResult,
     SecondarySearch,
+    derived_oscillator,
     extended_oscillator,
     hessian,
     hessian_rank,

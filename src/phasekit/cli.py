@@ -60,13 +60,9 @@ from .constraints import (
     ConstraintError,
     ConstraintSet,
     GaugeSpec,
-    LagrangianModel,
     LegendreResult,
-    extended_oscillator,
-    hessian,
+    derived_oscillator,
     hessian_rank,
-    legendre,
-    original_oscillator,
     oscillator_registry,
     secondary_constraints,
     total_hamiltonian,
@@ -354,15 +350,14 @@ def _matrix_lines(rows) -> List[str]:
     return ["[" + ", ".join(render(e) for e in row) + "]" for row in rows]
 
 
-def _chart_analysis(model: LagrangianModel, sample: Mapping[str, float],
+def _chart_analysis(chart: str, sample: Mapping[str, float],
                     registry: AtomRegistry, heading: str,
                     lines: List[str]) -> Tuple[LegendreResult, Dict]:
-    """Hessian, its rank at the sample point and the Legendre transform of
-    one chart, reported under ``heading``; returns the transform and the
-    chart's summary."""
-    h = hessian(model)
+    """The derived Hessian of one chart, its rank at the sample point under
+    the config's ``registry``, and the Legendre transform, reported under
+    ``heading``; returns the transform and the chart's summary."""
+    _, h, lgd = derived_oscillator(chart)
     rank = hessian_rank(h, sample, registry)
-    lgd = legendre(model)
     det = render(h.determinant)
     lines.append(heading)
     lines.append(f"  hessian det = {det}")
@@ -390,7 +385,7 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
                                   "model": scenario.model}
 
     _, summary["original"] = _chart_analysis(
-        original_oscillator(registry),
+        "original",
         {"m": scenario.m, "t": 0.0,
          "x1": 0.3, "x2": -0.4, "x1_dot": 0.1, "x2_dot": 0.2},
         registry, "original chart (x1, p1, x2, p2):", lines)
@@ -399,9 +394,8 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
         _write_summary(out_dir, "analysis.json", summary)
         return OK, "\n".join(lines)
 
-    extended = extended_oscillator(registry)
     elgd, extended_summary = _chart_analysis(
-        extended,
+        "extended",
         {"m": scenario.m, "tau": 0.0, "t_tau": 0.1,
          "x1_tau": 0.3, "x2_tau": -0.4,
          "x1_tau_dot": 0.1, "x2_tau_dot": 0.2, "t_tau_dot": 0.7},
@@ -410,7 +404,7 @@ def run_analyze(scenario: Scenario, out_dir: Path) -> Tuple[int, str]:
         lines)
 
     cs = ConstraintSet(primaries=elgd.primaries, gauge=scenario.gauge)
-    chart = extended.chart
+    chart = elgd.chart
     # With a gauge fixed the multiplier is no longer free: consistency of
     # the gauge row pins it to the window slope.  Only the ungauged search
     # keeps a symbolic multiplier.

@@ -87,12 +87,6 @@ class LagrangianModel:
     def chart(self) -> Chart:
         return Chart(tuple(zip(self.coordinates, self.momenta)))
 
-    @functools.cached_property
-    def velocity_gradient(self) -> Tuple[PhaseExpr, ...]:
-        """∂L/∂v_i, taken once for both ``hessian`` and ``legendre``."""
-        return tuple(diff(self.lagrangian, v, self.registry)
-                     for v in self.velocities)
-
 
 @dataclass(frozen=True)
 class Hessian:
@@ -177,11 +171,10 @@ class ConstraintSet:
 def hessian(model: LagrangianModel) -> Hessian:
     """Velocity Hessian of the Lagrangian and its exact determinant."""
     n = len(model.velocities)
-    first = model.velocity_gradient
-    matrix = [
-        [diff(first[i], model.velocities[j], model.registry) for j in range(n)]
-        for i in range(n)
-    ]
+    first = [diff(model.lagrangian, v, model.registry)
+             for v in model.velocities]
+    matrix = [[diff(d, v, model.registry) for v in model.velocities]
+              for d in first]
     for i in range(n):
         for j in range(i + 1, n):
             if not is_zero_expr(matrix[i][j] - matrix[j][i]):
@@ -235,7 +228,8 @@ def legendre(model: LagrangianModel) -> LegendreResult:
     unresolved momentum carries coefficient one.  Velocities that no
     equation determines stay in H as undetermined multipliers.
     """
-    defs = dict(zip(model.momenta, model.velocity_gradient))
+    defs = {p: diff(model.lagrangian, v, model.registry)
+            for p, v in zip(model.momenta, model.velocities)}
     equations = {
         p: simplify(sym(p) - defs[p]) for p in model.momenta
     }
@@ -413,10 +407,9 @@ def oscillator_registry(friction_profile=None, frequency_profile=None,
     return reg
 
 
-def original_oscillator(registry: Optional[AtomRegistry] = None
-                        ) -> LagrangianModel:
+def original_oscillator() -> LagrangianModel:
     """Planar damped oscillator in physical time t."""
-    reg = registry if registry is not None else oscillator_registry()
+    reg = oscillator_registry()
     text = (
         "(m/(2*f(t)))*(x1_dot^2 + x2_dot^2)"
         " - (m*w(t)^2/(2*f(t)))*(x1^2 + x2^2)"
@@ -431,15 +424,14 @@ def original_oscillator(registry: Optional[AtomRegistry] = None
     )
 
 
-def extended_oscillator(registry: Optional[AtomRegistry] = None
-                        ) -> LagrangianModel:
+def extended_oscillator() -> LagrangianModel:
     """The same oscillator with time promoted to a configuration variable.
 
     Velocities are taken with respect to the evolution parameter; the
     Lagrangian is homogeneous of degree one in them, which is what makes
     the velocity Hessian singular.
     """
-    reg = registry if registry is not None else oscillator_registry()
+    reg = oscillator_registry()
     text = (
         "(m/(2*f(t_tau)*t_tau_dot))*(x1_tau_dot^2 + x2_tau_dot^2)"
         " - (m*w(t_tau)^2*t_tau_dot/(2*f(t_tau)))*(x1_tau^2 + x2_tau^2)"
@@ -457,3 +449,17 @@ def extended_oscillator(registry: Optional[AtomRegistry] = None
         momenta=("p1_tau", "p2_tau", "p_tau"),
         registry=reg,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def derived_oscillator(chart: str
+                       ) -> Tuple[LagrangianModel, Hessian, LegendreResult]:
+    """The model, Hessian and Legendre transform of the oscillator in
+    ``chart`` ("original" or "extended"), derived once per process on first
+    use.  Every ``oscillator_registry`` gives the same results: a registry
+    enters them only through the atom names and f' = -eta_fric·f, which all
+    share; a config's profiles enter where an expression is lowered or
+    evaluated, as in ``hessian_rank`` and the integrators."""
+    model = {"original": original_oscillator,
+             "extended": extended_oscillator}[chart]()
+    return model, hessian(model), legendre(model)

@@ -358,20 +358,17 @@ def integrate(eom: Mapping[str, PhaseExpr], init: Mapping[str, float],
 
 @functools.lru_cache(maxsize=None)
 def _original() -> Tuple[PhaseExpr, Dict[str, PhaseExpr]]:
-    # profiles enter at lowering: only atom names and f' = -eta_fric·f count.
     # "t" enters H through the coefficient profiles; the integrator binds it.
-    model = _constraints.original_oscillator()
-    h = _constraints.legendre(model).hamiltonian
-    return h, _brackets.hamilton_eom(h, model.chart, registry=model.registry,
-                                     params={"m", "t"})
+    model, _, lgd = _constraints.derived_oscillator("original")
+    return lgd.hamiltonian, _brackets.hamilton_eom(
+        lgd.hamiltonian, lgd.chart, registry=model.registry, params={"m", "t"})
 
 
 @functools.lru_cache(maxsize=None)
 def _extended() -> Tuple[PhaseExpr, Dict[str, PhaseExpr]]:
-    model = _constraints.extended_oscillator()
-    phi = _constraints.legendre(model).primaries[0]
-    return phi, _brackets.hamilton_eom(simplify(sym("lam") * phi),
-                                       model.chart)
+    lgd = _constraints.derived_oscillator("extended")[2]
+    phi = lgd.primaries[0]
+    return phi, _brackets.hamilton_eom(simplify(sym("lam") * phi), lgd.chart)
 
 
 def original_equations() -> Tuple[PhaseExpr, Dict[str, PhaseExpr]]:

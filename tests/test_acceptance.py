@@ -138,7 +138,7 @@ def test_criterion_2_dirac_defining_property():
     """{constraint, g}_D = 0 for both constraints and 20 random g, < 10 s."""
     start = time.perf_counter()
     registry = constant_registry(omega=2.0, eta=0.1)
-    model = extended_oscillator(registry=registry)
+    model = extended_oscillator()
     phi = legendre(model).primaries[0]
     cs = ConstraintSet(primaries=(phi,),
                        gauge=GaugeSpec((0.0, 1.0, 0.0, 10.0)))
@@ -179,7 +179,7 @@ def test_criterion_3_gauge_orbit_equivalence():
         lam = lams[i % 3]
         gauge = GaugeSpec((0.0, 10.0 / lam, 0.0, 10.0))
         registry = constant_registry(omega=omega, eta=eta)
-        model = original_oscillator(registry)
+        model = original_oscillator()
         h_expr = legendre(model).hamiltonian
         eom = hamilton_eom(h_expr, model.chart, registry=registry,
                            params={"m", "t"})
@@ -232,7 +232,7 @@ def test_criterion_4_damped_oscillator_oracle():
     omega, eta, m = 2.0, 0.3, 1.0
     init = {"x1": 1.0, "p1": 0.0, "x2": 0.3, "p2": -0.4}
     registry = constant_registry(omega=omega, eta=eta)
-    model = original_oscillator(registry)
+    model = original_oscillator()
     eom = hamilton_eom(legendre(model).hamiltonian, model.chart,
                        registry=registry, params={"m", "t"})
     grid = np.linspace(0.0, 10.0, 201)

@@ -45,7 +45,7 @@ EXT_VARS = EXTENDED_CHART.variables
 def gauged_system():
     """Primary constraint of the reparametrized oscillator plus its gauge."""
     registry = constant_registry(omega=2.0, eta=0.1)
-    model = extended_oscillator(registry=registry)
+    model = extended_oscillator()
     phi = legendre(model).primaries[0]
     gauge = GaugeSpec((0.0, 1.0, 0.0, 10.0))
     cs = ConstraintSet(primaries=(phi,), gauge=gauge)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end, in process."""
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import phasekit
-from phasekit import cli, equivalent, parse
+from phasekit import cli, constraints, dynamics, equivalent, parse
 
 from _support import constant_registry, count_rhs_calls, deadline
 
@@ -129,8 +130,10 @@ def test_analyze_regular_system(tmp_path, capsys):
     assert summary["original"]["rank"] == 2
 
 
-@pytest.mark.parametrize(
-    "name", ["oscillator", "equilibrium", "free_particle", "invariant"])
+ANALYZE_CONFIGS = ["oscillator", "equilibrium", "free_particle", "invariant"]
+
+
+@pytest.mark.parametrize("name", ANALYZE_CONFIGS)
 def test_analyze_output_is_byte_identical_to_goldens(tmp_path, capsys, name):
     # the goldens hold the rendered normal forms; any change to how brackets
     # or derivatives are assembled must leave every byte of them alone
@@ -140,6 +143,52 @@ def test_analyze_output_is_byte_identical_to_goldens(tmp_path, capsys, name):
     assert out == (GOLDENS / f"{name}.analyze.txt").read_text()
     assert ((tmp_path / "analysis.json").read_bytes()
             == (GOLDENS / f"{name}.analysis.json").read_bytes())
+
+
+@pytest.mark.parametrize("chart", ["original", "extended"])
+@pytest.mark.parametrize("name", ANALYZE_CONFIGS)
+def test_derivation_does_not_depend_on_the_profiles(name, chart):
+    # analyze reads the one derivation for every config: bound to a config's
+    # own registry, the model must give the same Hessian and transform
+    scenario = cli.scenario_from_config(
+        cli.load_config(CONFIGS / f"{name}.yaml"), name)
+    span = scenario.gauge.window[2:] if scenario.gauge else scenario.span
+    registry = cli.build_registry(scenario, span)
+    model, h, lgd = constraints.derived_oscillator(chart)
+    bound = dataclasses.replace(model, registry=registry)
+    assert constraints.hessian(bound) == h
+    assert constraints.legendre(bound) == lgd
+
+
+def test_the_oscillator_is_derived_once_per_process(tmp_path, monkeypatch):
+    counts = {"hessian": 0, "legendre": 0}
+    for name in counts:
+        original = getattr(constraints, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        # every binding, so a module that imported the name is counted too
+        for module in (phasekit, constraints, cli, dynamics):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    cfg = yaml.safe_load((CONFIGS / "oscillator.yaml").read_text())
+    damped = cli.scenario_from_config(cfg, "damped")
+    cfg["profiles"] = {"omega": 3.0, "eta_fric": 0.4}
+    stiffer = cli.scenario_from_config(cfg, "stiffer")
+    assert damped.omega_raw != stiffer.omega_raw
+
+    assert cli.run_analyze(damped, tmp_path / "damped")[0] == 0
+    assert counts["hessian"] <= 2 and counts["legendre"] <= 2
+    counts.update(hessian=0, legendre=0)
+    assert cli.run_analyze(stiffer, tmp_path / "stiffer")[0] == 0
+    assert counts == {"hessian": 0, "legendre": 0}
+
+    assert (dynamics.original_equations()[0]
+            is constraints.derived_oscillator("original")[2].hamiltonian)
+    assert (dynamics.extended_constraint()
+            is constraints.derived_oscillator("extended")[2].primaries[0])
 
 
 # simulate and invariant on the shipped scenario configs, plus rk4 runs of

@@ -43,13 +43,13 @@ def registry():
 
 
 @pytest.fixture(scope="module")
-def original(registry):
-    return original_oscillator(registry=registry)
+def original():
+    return original_oscillator()
 
 
 @pytest.fixture(scope="module")
-def extended(registry):
-    return extended_oscillator(registry=registry)
+def extended():
+    return extended_oscillator()
 
 
 # ---------------------------------------------------------------------------
