@@ -12,16 +12,17 @@ shifts D1(Q1,T), D2(Q2,T); ``complete`` derives the remaining pieces
 construction.  The Q-integrals are done symbolically whenever the integrand
 is polynomial in the integration variable; otherwise the p_tau component
 carries quadrature terms.  The maps and their Jacobian are evaluated by one
-lowered jet per transform, from forward differentiation (``lower(wrt=)``);
-the sampling gates, the symplectic defect and the seven-equation residuals
-all read that Jacobian, and no symbolic partial is built for any of them.
+lowered jet per transform, from forward differentiation (``lower(wrt=)``),
+read by one walk over a chain (``_walk``); the sampler's Jacobian feeds the
+defect and the residuals, and no symbolic partial is built for any of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -54,7 +55,6 @@ class DegenerateSpecError(CanonicalError):
 NEW_CHART = Chart((("Q1", "P1"), ("Q2", "P2"), ("T", "P_T")), label="new")
 NEW_VARS = NEW_CHART.variables                       # (Q1, Q2, T, P1, P2, P_T)
 OLD_ORDER = ("x1_tau", "x2_tau", "t_tau", "p1_tau", "p2_tau", "p_tau")
-_POSITIONAL = dict(zip(NEW_VARS, OLD_ORDER))
 
 _ALLOWED = {
     "a1": ("Q1", "T"),
@@ -133,7 +133,7 @@ class Transform:
     ``dataclasses.replace`` are diagnosed honestly.
 
     ``chain`` is set only by ``compose``: a composed transform has no maps
-    of its own, and evaluation, Jacobians and sampling gates go through the
+    of its own, and evaluation, Jacobians and sampling gates walk the
     chain's stages instead.
     """
 
@@ -278,20 +278,27 @@ def _jet(tr: Transform) -> _Lowered:
     return tr._partials
 
 
+def _walk(tr: Transform, point: Mapping[str, float]
+          ) -> Tuple[List[float], np.ndarray, bool]:
+    """Values, Jacobian and sampling gate at a state: |dA_i/dQ_i| and |dB/dT|
+    at least 0.05, at every stage of a chain, whose stage Jacobians multiply
+    (overflow raises FloatingPointError)."""
+    if tr.chain is None:
+        values, partials = _jet(tr)(point)
+        m = np.array(partials).reshape(6, 6)
+        # dA1/dQ1, dA2/dQ2 and dB/dT: the first three diagonal entries
+        return values, m, all(abs(m[k, k]) >= 0.05 for k in range(3))
+    outer, inner = tr.chain
+    mid, m_inner, inner_passes = _walk(inner, point)
+    values, m_outer, outer_passes = _walk(outer, dict(zip(NEW_VARS, mid)))
+    with np.errstate(over="raise", invalid="raise"):
+        m = m_outer @ m_inner
+    return values, m, inner_passes and outer_passes
+
+
 def evaluate(tr: Transform, point: Mapping[str, float]) -> Dict[str, float]:
     """Apply the transform to one new-chart state."""
-    if tr.chain is not None:
-        outer, inner = tr.chain
-        return evaluate(outer, _as_new_point(evaluate(inner, point)))
-    return dict(zip(OLD_ORDER, _jet(tr)(point)[0]))
-
-
-def _as_new_point(old_values: Mapping[str, float]) -> Dict[str, float]:
-    """Rename an extended-chart state to new-chart slots positionally."""
-    return {
-        new_var: old_values[old_name]
-        for new_var, old_name in _POSITIONAL.items()
-    }
+    return dict(zip(OLD_ORDER, _walk(tr, point)[0]))
 
 
 # --------------------------------------------------------------------------
@@ -301,59 +308,60 @@ def _as_new_point(old_values: Mapping[str, float]) -> Dict[str, float]:
 def jacobian(tr: Transform, point: Mapping[str, float]) -> np.ndarray:
     """6×6 matrix ∂(extended)/∂(new) at the point, rows in the order
     (x1_tau, x2_tau, t_tau, p1_tau, p2_tau, p_tau)."""
-    if tr.chain is not None:
-        outer, inner = tr.chain
-        mid = _as_new_point(evaluate(inner, point))
-        return jacobian(outer, mid) @ jacobian(inner, point)
     try:
-        partials = _jet(tr)(point)[1]
+        return _walk(tr, point)[1]
     except NonFiniteError as exc:
         raise CanonicalError(f"singular denominator at {dict(point)}") from exc
-    return np.array(partials).reshape(6, 6)
 
 
 def symplectic_defect(tr: Transform,
                       points: Sequence[Mapping[str, float]]) -> float:
     """sup over points of max|MᵀJM − J|; overflow raises FloatingPointError."""
+    return _defect(jacobian(tr, point) for point in points)
+
+
+def _defect(jacobians: Iterable[np.ndarray]) -> float:
     j = NEW_CHART.poisson_matrix().astype(float)
     worst = 0.0
     with np.errstate(over="raise", invalid="raise"):
-        for point in points:
-            m = jacobian(tr, point)
-            defect = float(np.max(np.abs(m.T @ j @ m - j)))
-            worst = max(worst, defect)
+        for m in jacobians:
+            worst = max(worst, float(np.max(np.abs(m.T @ j @ m - j))))
     return worst
 
 
 def sample_states(tr: Transform, count: int = 32,
                   seed: int = 20260817) -> List[Dict[str, float]]:
     """Random new-chart states in [-1, 1]⁶ avoiding near-singular
-    denominators.
+    denominators: the maps and partials are finite, and every stage passes
+    its gate (see ``_walk``) at the state it sees.  A constant that
+    overflows a float raises ``NonFiniteError`` once, from lowering every
+    stage before the first draw."""
+    return _sample(tr, count, seed)[0]
 
-    For a plain transform the gate is |dA_i/dQ_i| ≥ 0.05 and |dB/dT| ≥ 0.05
-    at the point; for a composed one, every stage of the chain must pass
-    its own gate at the state it actually sees, with finite maps and
-    partials.  A constant that overflows a float raises ``NonFiniteError``
-    once, from lowering every stage before the first draw.
-    """
+
+def _sample(tr: Transform, count: int, seed: int
+            ) -> Tuple[List[Dict[str, float]], List[np.ndarray]]:
+    """``sample_states`` with the Jacobian its gate read at each state."""
     _lower_stages(tr)
     rng = np.random.default_rng(seed)
     states: List[Dict[str, float]] = []
+    jacobians: List[np.ndarray] = []
     attempts = 0
     while len(states) < count:
         attempts += 1
         if attempts > 200 * count:
             raise CanonicalError(
                 "could not sample non-degenerate states; the spec may be "
-                "singular over the whole box"
-            )
+                "singular over the whole box")
         point = {v: float(rng.uniform(-1.0, 1.0)) for v in NEW_VARS}
         try:
-            if _passes_gates(tr, point):
-                states.append(point)
+            _, m, passes = _walk(tr, point)
         except (CanonicalError, NonFiniteError):
             continue
-    return states
+        if passes:
+            states.append(point)
+            jacobians.append(m)
+    return states, jacobians
 
 
 def _lower_stages(tr: Transform) -> None:
@@ -361,18 +369,6 @@ def _lower_stages(tr: Transform) -> None:
         _jet(tr)
     for stage in tr.chain or ():
         _lower_stages(stage)
-
-
-def _passes_gates(tr: Transform, point: Mapping[str, float]) -> bool:
-    if tr.chain is not None:
-        outer, inner = tr.chain
-        if not _passes_gates(inner, point):
-            return False
-        mid = _as_new_point(evaluate(inner, point))
-        return _passes_gates(outer, mid)
-    partials = _jet(tr)(point)[1]
-    # dA1/dQ1, dA2/dQ2 and dB/dT: the first three diagonal entries
-    return all(abs(partials[7 * k]) >= 0.05 for k in range(3))
 
 
 # --------------------------------------------------------------------------
@@ -391,10 +387,12 @@ def ode_residuals(tr: Transform, point: Mapping[str, float]
         raise CanonicalError(
             "the seven-equation residuals need canonical-form maps; a "
             "composed transform has no maps of its own, check "
-            "symplectic_defect instead"
-        )
+            "symplectic_defect instead")
+    return _residuals(jacobian(tr, point))
+
+
+def _residuals(m: np.ndarray) -> Tuple[float, ...]:
     # rows (x1, x2, t, p1, p2, p_tau), columns (Q1, Q2, T, P1, P2, P_T)
-    m = jacobian(tr, point)
     a1p, _, a1t, _, _, _ = m[0]
     _, a2p, a2t, _, _, _ = m[1]
     bt = m[2, 2]

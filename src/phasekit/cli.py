@@ -51,10 +51,10 @@ from .canonical import (
     NEW_VARS,
     OLD_ORDER,
     TransformSpec,
+    _defect,
+    _residuals,
+    _sample,
     complete,
-    ode_residuals,
-    sample_states,
-    symplectic_defect,
 )
 from .constraints import (
     ConstraintError,
@@ -666,14 +666,12 @@ def run_transform_check(cfg: Mapping, label: str, out_dir: Path,
         if count > MAX_POINTS:
             raise ConfigError(
                 f"points: must be at most {MAX_POINTS}, got {count}")
-    try:
-        states = sample_states(tr, count=count, seed=seed)
+    try:        # the Jacobian each state's gate read
+        _, jacobians = _sample(tr, count, seed)
     except NonFiniteError as exc:       # from lowering the spec's maps
         raise ConfigError(f"transform: {exc}")
-    defect = symplectic_defect(tr, states)
-    residual = max(
-        max(abs(r) for r in ode_residuals(tr, p)) for p in states
-    )
+    defect = _defect(jacobians)
+    residual = max(max(abs(r) for r in _residuals(m)) for m in jacobians)
     code = OK if (defect < tol and residual < tol) else CHECK_FAILED
     lines = [f"transform: {label}"]
     if overrides:

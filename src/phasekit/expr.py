@@ -737,7 +737,9 @@ def lower(exprs: Sequence[PhaseExpr], inputs: Sequence,
     source = ("def _lowered(t, y):\n" + "".join(lines)
               + f"    return ({''.join(r + ', ' for r in outputs)})\n")
     exec(source, glb)
-    return glb["_lowered"]
+    # no cycle is left: emit and profile hold each other, glb the function
+    del emit, profile
+    return glb.pop("_lowered")
 
 
 def _finite(fn: Callable, t, y) -> tuple:

@@ -336,6 +336,33 @@ def test_composition_evaluates_through_both_maps():
         assert nested[name] == pytest.approx(value, abs=1e-12)
 
 
+def test_composed_jacobian_is_the_chain_rule():
+    # central differences of the composed maps; a product of two symplectic
+    # matrices in the wrong order would still pass the defect check
+    chained = compose(complete(spec_of(**POLY)),
+                      complete(spec_of(a1="Q1 + T^2", a2="2*Q2 - T", b="T",
+                                       d1="Q1*T")))
+    point = {v: x for v, x in zip(NEW_VARS, (0.3, -0.2, 0.4, 0.1, 0.5, -0.6))}
+    m, h = jacobian(chained, point), 1e-6
+    for j, var in enumerate(NEW_VARS):
+        up = evaluate(chained, {**point, var: point[var] + h})
+        down = evaluate(chained, {**point, var: point[var] - h})
+        for i, name in enumerate(OLD):
+            assert m[i, j] == pytest.approx((up[name] - down[name]) / (2 * h),
+                                            abs=1e-6)
+
+
+def test_composed_sampling_gates_every_stage_at_the_state_it_sees():
+    # dA1/dQ1 = 2 Q1 for squares, read at its own input: the state for the
+    # inner stage, the shifted Q1 + T for the outer one
+    squares = complete(spec_of(a1="Q1^2", a2="Q2", b="T"))
+    shift = complete(spec_of(a1="Q1 + T", a2="Q2", b="T"))
+    for chained, q1 in ((compose(squares, shift), lambda p: p["Q1"] + p["T"]),
+                        (compose(shift, squares), lambda p: p["Q1"])):
+        for point in sample_states(chained, count=256, seed=3):
+            assert abs(2 * q1(point)) >= 0.05
+
+
 def test_composition_with_a_quadrature_stage_stays_symplectic():
     chained = compose(quadrature_transform(), complete(spec_of(**POLY)))
     pts = sample_states(chained, count=8)

@@ -13,13 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from scipy import integrate as scipy_integrate
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import phasekit
-from phasekit import cli, constraints, dynamics, equivalent, parse
+from phasekit import canonical, cli, constraints, dynamics, equivalent, parse
 
 from _support import constant_registry, count_rhs_calls, deadline
 
@@ -1125,6 +1127,91 @@ def test_identity_transform_has_zero_defect(tmp_path, capsys):
     assert code == 0
     summary = json.loads((tmp_path / "transform_check.json").read_text())
     assert summary["defect"] == 0.0
+
+
+# d1 rational in Q1: p_tau carries a quadrature term, two quad calls (its
+# value and its T partial) in every jet evaluation
+QUADRATURE_SPEC = {"transform": {"a1": "Q1", "a2": "Q2", "b": "T",
+                                 "d1": "T/(1 + Q1^2)"},
+                   "points": 16, "seed": 11}
+TRANSFORM_CASES = ["transform", "transform_corrupt", "quadrature"]
+
+
+def transform_config(tmp_path, name):
+    """A shipped transform config, or the quadrature spec written out."""
+    if name == "quadrature":
+        return write_config(tmp_path, "quadrature.yaml", QUADRATURE_SPEC)
+    return CONFIGS / f"{name}.yaml"
+
+
+def library_transform(cfg):
+    """The transform that transform-check checks, built by the library."""
+    spec = canonical.TransformSpec.from_strings(**cfg["transform"])
+    tr = canonical.complete(spec)
+    overrides = {name: parse(text, canonical.NEW_VARS)
+                 for name, text in cfg.get("override", {}).items()}
+    return dataclasses.replace(tr, maps={**tr.maps, **overrides})
+
+
+def candidates_drawn(tr, count, seed):
+    """States the sampler draws to accept ``count``: its draws, judged by
+    the public Jacobian against the gate |dA1/dQ1|, |dA2/dQ2|, |dB/dT|."""
+    rng = np.random.default_rng(seed)
+    accepted = drawn = 0
+    while accepted < count:
+        drawn += 1
+        point = {v: float(rng.uniform(-1.0, 1.0)) for v in canonical.NEW_VARS}
+        try:
+            m = canonical.jacobian(tr, point)
+        except canonical.CanonicalError:
+            continue
+        accepted += all(abs(m[k, k]) >= 0.05 for k in range(3))
+    return drawn
+
+
+@pytest.mark.parametrize("name", TRANSFORM_CASES)
+def test_transform_check_runs_each_candidates_jet_once(tmp_path, capsys,
+                                                       monkeypatch, name):
+    path = transform_config(tmp_path, name)
+    cfg = yaml.safe_load(path.read_text())
+    tr = library_transform(cfg)
+    drawn = candidates_drawn(tr, cfg["points"], cfg["seed"])
+    assert drawn > cfg["points"] or name == "quadrature"   # some rejected
+    calls = {"jet": 0, "quad": 0}
+    jet, quad = canonical._Lowered.__call__, scipy_integrate.quad
+
+    def counted_jet(self, point):
+        calls["jet"] += 1
+        return jet(self, point)
+
+    def counted_quad(*args, **kwargs):
+        calls["quad"] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(canonical._Lowered, "__call__", counted_jet)
+    monkeypatch.setattr(scipy_integrate, "quad", counted_quad)
+    canonical.jacobian(tr, dict.fromkeys(canonical.NEW_VARS, 0.5))
+    per_jet = calls["quad"]
+    assert per_jet == (2 if name == "quadrature" else 0)
+    calls.update(jet=0, quad=0)
+    code, _ = run_cli(capsys, "transform-check", str(path),
+                      "--out", str(tmp_path))
+    assert code == (1 if name == "transform_corrupt" else 0)
+    assert calls == {"jet": drawn, "quad": per_jet * drawn}
+
+
+@pytest.mark.parametrize("name", TRANSFORM_CASES)
+def test_transform_check_agrees_with_the_library(tmp_path, capsys, name):
+    path = transform_config(tmp_path, name)
+    cfg = yaml.safe_load(path.read_text())
+    run_cli(capsys, "transform-check", str(path), "--out", str(tmp_path))
+    summary = json.loads((tmp_path / "transform_check.json").read_text())
+    tr = library_transform(cfg)
+    states = canonical.sample_states(tr, count=cfg["points"],
+                                     seed=cfg["seed"])
+    assert summary["defect"] == canonical.symplectic_defect(tr, states)
+    assert summary["ode_residual"] == max(
+        max(abs(r) for r in canonical.ode_residuals(tr, p)) for p in states)
 
 
 @pytest.mark.parametrize("cfg, where", [

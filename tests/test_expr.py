@@ -1,6 +1,7 @@
 """Expression layer: parsing, normal forms, differentiation, profiles."""
 
 import dataclasses
+import gc
 import math
 import pickle
 from fractions import Fraction
@@ -646,6 +647,29 @@ def test_lower_differentiates_a_polynomial_of_3321_terms():
     assert value == pytest.approx(1.003 ** 80, rel=1e-12)
     slope = pytest.approx(80 * 1.003 ** 79, rel=1e-12)
     assert dx == slope and dy == slope
+
+
+@pytest.mark.parametrize("case", ["jet", "closed-form profile"])
+def test_lower_leaves_no_reference_cycle(case):
+    # the generated function is not kept in its own globals, and the
+    # emitter's closures, which call each other, do not outlive the call:
+    # what lower leaves behind is freed by reference counting alone
+    reg = AtomRegistry()
+    reg.register("g", profile=exponential(-0.5))
+    if case == "jet":
+        args = ([expr_of("x*y/(y + z) + x^3")], VARS)
+        kwargs = dict(time_var=None, wrt=VARS)
+    else:
+        args = ([parse("g(t) * x + x^2", ["x", "t"], reg)], ("x",), reg)
+        kwargs = {}
+    lower(*args, **kwargs)
+    gc.collect()
+    gc.disable()
+    try:
+        lower(*args, **kwargs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(rational_exprs(), st.fixed_dictionaries(
